@@ -39,6 +39,7 @@ use rv_isa::checkpoint::{checkpoints_at_shared, Checkpoint, SharedCheckpoint};
 use rv_isa::codec::{fnv1a, ByteReader, ByteWriter, CodecError};
 use rv_workloads::Workload;
 use simpoint::{analyze, SimPointAnalysis};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::path::Path;
@@ -244,8 +245,18 @@ struct MemoMeters<'a> {
     error_replays: &'a AtomicU64,
     /// Hits that blocked on another caller's in-flight computation.
     inflight: &'a AtomicU64,
-    /// Wall-clock microseconds spent computing.
+    /// Wall-clock microseconds spent computing, excluding nested stage
+    /// lookups (see [`NESTED_NS`]).
     spent_us: &'a AtomicU64,
+}
+
+thread_local! {
+    /// Nanoseconds this thread has spent inside memoized stage lookups
+    /// since the innermost computing stage started. A stage's compute
+    /// calls the earlier stages it needs (checkpoints ask for the profile
+    /// and the analysis); charging those calls' time to the caller too
+    /// would count it twice, so each stage reports exclusive time.
+    static NESTED_NS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn memoize<K, T>(
@@ -258,6 +269,7 @@ where
     K: Eq + Hash,
     T: Clone,
 {
+    let call = Instant::now();
     let slot = lock(map).entry(key).or_default().clone();
     // Whether the slot was already complete *before* this lookup: a hit
     // on an incomplete slot means we blocked on another caller's
@@ -267,12 +279,17 @@ where
     let mut from_disk = false;
     let result = slot.get_or_init(|| {
         ran = true;
+        let outer = NESTED_NS.replace(0);
         let t0 = Instant::now();
         let (r, disk) = compute();
         from_disk = disk;
-        meters.spent_us.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+        let own = (t0.elapsed().as_nanos() as u64).saturating_sub(NESTED_NS.replace(outer));
+        meters.spent_us.fetch_add(own / 1000, Ordering::Relaxed);
         r
     });
+    // The whole lookup — waits on another thread's fill included — is
+    // nested time for whichever stage on this thread asked for it.
+    NESTED_NS.set(NESTED_NS.get() + call.elapsed().as_nanos() as u64);
     if ran {
         if !from_disk {
             meters.computed.fetch_add(1, Ordering::Relaxed);

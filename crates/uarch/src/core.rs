@@ -37,6 +37,10 @@ const SYS_EXIT: u64 = 93;
 /// comfortably above every modeled latency (memory is 40 cycles); events
 /// scheduled further out spill to the overflow heap.
 const WB_RING: usize = 128;
+/// Events one calendar bucket holds before further events for that cycle
+/// spill to the overflow heap (bursts on the shipped workloads stay well
+/// below it).
+const WB_BUCKET: usize = 16;
 /// Cycles without a commit before the core reports itself hung.
 const HANG_LIMIT: u64 = 100_000;
 
@@ -121,26 +125,30 @@ pub struct Core {
     /// Completion events: one is scheduled per transition into
     /// [`UopState::Executing`], and writeback drains only the events due
     /// this cycle instead of scanning the whole ROB. Events land in a
-    /// calendar ring of per-cycle buckets (`wb_ring[done_at % WB_RING]`) —
-    /// every modeled latency is far below the ring horizon, so the
-    /// min-heap `wb_overflow` exists only as a correctness backstop.
-    /// Events for squashed uops go stale in place; writeback re-validates
-    /// against the ROB entry's state when they surface (seqs are reused
-    /// after a squash, so a stale event can name a live entry — the
-    /// state/`done_at` check makes processing idempotent).
-    wb_ring: Vec<Vec<u64>>,
+    /// calendar ring of fixed-size per-cycle buckets: bucket
+    /// `b = done_at % WB_RING` holds `wb_len[b]` seqs at
+    /// `wb_ring[b * WB_BUCKET..]`. Every modeled latency is far below the
+    /// ring horizon and bursts below the bucket size, so the min-heap
+    /// `wb_overflow` exists only as a correctness backstop; writeback
+    /// merges both, so where an event waits never changes when or in
+    /// which order it is processed. Events for squashed uops go stale in
+    /// place; writeback re-validates against the ROB entry's state when
+    /// they surface (seqs are reused after a squash, so a stale event can
+    /// name a live entry — the state/`done_at` check makes processing
+    /// idempotent).
+    wb_ring: Vec<u64>,
+    wb_len: [u8; WB_RING],
     wb_overflow: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Scratch for the issue stage's ready list (reused every cycle).
-    scratch_ready: Vec<(usize, u64)>,
+    /// Scratch for the events writeback drains this cycle.
+    scratch_due: Vec<u64>,
     /// Scratch for the issue stage's remove set (reused every cycle).
     scratch_remove: Vec<usize>,
     /// Scratch for squashed-uop records (reused across mispredicts).
     scratch_squash: Vec<SquashedUop>,
     /// Branch bookkeeping for in-flight control-flow uops, indexed by
-    /// `seq % rob_entries`. Live seqs span less than one ROB capacity,
-    /// so each in-flight uop owns a unique slot; keeping this out of
-    /// [`RobEntry`] shrinks the per-dispatch copy that dominates the
-    /// commit/dispatch profile.
+    /// the uop's ROB ring slot ([`Rob::slot_of`]), which is unique among
+    /// in-flight uops; keeping this out of [`RobEntry`] shrinks the
+    /// per-dispatch write that dominates the commit/dispatch profile.
     branch_info: Vec<BranchInfo>,
 
     /// Predecoded text (the fast fetch path); `None` falls back to
@@ -268,6 +276,8 @@ impl Core {
 
     fn from_raw(cfg: BoomConfig, mem: Memory, entry: u64) -> Core {
         let stats = Stats::new(cfg.int_issue_slots, cfg.mem_issue_slots, cfg.fp_issue_slots);
+        let rob = Rob::new(cfg.rob_entries);
+        let iq = |slots| IssueQueue::new(cfg.iq_kind, slots, cfg.int_phys_regs, cfg.fp_phys_regs);
         Core {
             prf_int: PhysRegFile::new(cfg.int_phys_regs),
             prf_fp: PhysRegFile::new(cfg.fp_phys_regs),
@@ -276,10 +286,9 @@ impl Core {
             rrat_int: Rat::identity(),
             rrat_fp: Rat::identity(),
             br_inflight: 0,
-            rob: Rob::new(cfg.rob_entries),
-            iq_int: IssueQueue::with_kind(cfg.iq_kind, cfg.int_issue_slots),
-            iq_mem: IssueQueue::with_kind(cfg.iq_kind, cfg.mem_issue_slots),
-            iq_fp: IssueQueue::with_kind(cfg.iq_kind, cfg.fp_issue_slots),
+            iq_int: iq(cfg.int_issue_slots),
+            iq_mem: iq(cfg.mem_issue_slots),
+            iq_fp: iq(cfg.fp_issue_slots),
             lsu: Lsu::new(cfg.ldq_entries, cfg.stq_entries),
             fetch_pc: entry,
             fetch_pending: None,
@@ -295,11 +304,16 @@ impl Core {
             mem_backend: mem::backend_for(&cfg),
             div_free_at: 0,
             fdiv_free_at: 0,
-            wb_ring: vec![Vec::new(); WB_RING],
-            wb_overflow: BinaryHeap::new(),
-            scratch_ready: Vec::new(),
-            scratch_remove: Vec::new(),
-            scratch_squash: Vec::new(),
+            wb_ring: vec![0; WB_RING * WB_BUCKET],
+            wb_len: [0; WB_RING],
+            wb_overflow: BinaryHeap::with_capacity(WB_BUCKET),
+            // Scratch buffers sized to their bounds up front, so no
+            // stage grows one mid-measurement.
+            scratch_remove: Vec::with_capacity(
+                cfg.int_issue_width.max(cfg.mem_issue_width).max(cfg.fp_issue_width),
+            ),
+            scratch_squash: Vec::with_capacity(cfg.rob_entries),
+            scratch_due: Vec::with_capacity(2 * WB_BUCKET),
             branch_info: vec![
                 BranchInfo {
                     pred_next: 0,
@@ -308,8 +322,9 @@ impl Core {
                     meta: None,
                     kind: BranchKind::Jump,
                 };
-                cfg.rob_entries
+                rob.ring_size()
             ],
+            rob,
             cycle: 0,
             stats,
             exited: None,
@@ -470,6 +485,7 @@ impl Core {
         } else {
             self.run_loop::<false>(start_retired, max_insts);
         }
+        self.flush_queue_stats();
         RunResult {
             exited: self.exited.is_some(),
             exit_code: self.exited,
@@ -596,8 +612,8 @@ impl Core {
         // Pending completion events bound the skip — including stale
         // events for squashed uops: both modes drain those at the same
         // cycle (to no effect), so skipping over one would diverge the
-        // bucket state. The ring holds every event within the horizon;
-        // anything further out sits in the overflow heap.
+        // bucket state. Events beyond the horizon or a full bucket sit in
+        // the overflow heap; the ring holds the rest.
         if let Some(&Reverse((done_at, _))) = self.wb_overflow.peek() {
             wake = wake.min(done_at);
         }
@@ -606,7 +622,7 @@ impl Core {
             if t >= wake {
                 break;
             }
-            if !self.wb_ring[(t as usize) & (WB_RING - 1)].is_empty() {
+            if self.wb_len[(t as usize) & (WB_RING - 1)] != 0 {
                 wake = t;
                 break;
             }
@@ -719,6 +735,16 @@ impl Core {
         } else {
             self.step_cycle_impl::<false>();
         }
+        self.flush_queue_stats();
+    }
+
+    /// Folds the issue queues' deferred per-slot counters into
+    /// [`Stats`]. Every public entry point that advances the clock ends
+    /// with this, so [`Core::stats`] is exact whenever a caller can read it.
+    fn flush_queue_stats(&mut self) {
+        self.iq_int.flush_stats(&mut self.stats.int_iq);
+        self.iq_mem.flush_stats(&mut self.stats.mem_iq);
+        self.iq_fp.flush_stats(&mut self.stats.fp_iq);
     }
 
     fn step_cycle_impl<const TRACED: bool>(&mut self) {
@@ -788,12 +814,11 @@ impl Core {
                 }
             }
             // Copy out the handful of fields commit consumes, then drop
-            // the head in place — the ~240-byte entry never moves.
+            // the head in place — the entry never moves.
             let head = self.rob.head().expect("head checked above");
             let (seq, pc, inst, dest) = (head.seq, head.pc, head.inst, head.dest);
             let (actual_next, taken, mispredicted) =
                 (head.actual_next, head.taken, head.mispredicted);
-            let has_ldq = head.ldq_idx.is_some();
             // Cold path: lockstep checking wants the whole entry.
             let golden_entry = self.golden.is_some().then(|| head.clone());
             self.rob.drop_head();
@@ -829,7 +854,7 @@ impl Core {
             if inst.is_store() {
                 self.lsu.commit_store(seq);
             }
-            if has_ldq {
+            if inst.is_load() {
                 self.lsu.commit_load(seq);
             }
 
@@ -837,7 +862,7 @@ impl Core {
             // is control flow, so this gate matches the old
             // `Option<BranchInfo>` field.
             if inst.is_control_flow() {
-                let br = self.branch_info[(seq as usize) % self.cfg.rob_entries];
+                let br = self.branch_info[self.rob.slot_of(seq)];
                 match inst {
                     Inst::Branch { .. } => {
                         self.stats.branches += 1;
@@ -894,14 +919,20 @@ impl Core {
     // ------------------------------------------------------------------
 
     /// Schedules a completion event (transition to `Executing`): into the
-    /// calendar ring when within the horizon, the overflow heap otherwise.
+    /// calendar ring when within the horizon and its bucket has room, the
+    /// overflow heap otherwise.
     #[inline]
     fn schedule_wb(&mut self, done_at: u64, seq: u64) {
         if done_at.wrapping_sub(self.cycle) < WB_RING as u64 {
-            self.wb_ring[(done_at as usize) & (WB_RING - 1)].push(seq);
-        } else {
-            self.wb_overflow.push(Reverse((done_at, seq)));
+            let b = (done_at as usize) & (WB_RING - 1);
+            let n = usize::from(self.wb_len[b]);
+            if n < WB_BUCKET {
+                self.wb_ring[b * WB_BUCKET + n] = seq;
+                self.wb_len[b] += 1;
+                return;
+            }
         }
+        self.wb_overflow.push(Reverse((done_at, seq)));
     }
 
     fn writeback<const TRACED: bool>(&mut self) {
@@ -915,8 +946,11 @@ impl Core {
         // entry — so an event is acted on only when its entry is
         // `Executing` with a due completion time. Every live Executing
         // entry has an event at exactly its `done_at`, so none are missed.
-        let idx = (self.cycle as usize) & (WB_RING - 1);
-        let mut due = std::mem::take(&mut self.wb_ring[idx]);
+        let b = (self.cycle as usize) & (WB_RING - 1);
+        let mut due = std::mem::take(&mut self.scratch_due);
+        due.clear();
+        let n = usize::from(std::mem::take(&mut self.wb_len[b]));
+        due.extend_from_slice(&self.wb_ring[b * WB_BUCKET..b * WB_BUCKET + n]);
         while let Some(&Reverse((done_at, seq))) = self.wb_overflow.peek() {
             if done_at > self.cycle {
                 break;
@@ -925,7 +959,7 @@ impl Core {
             due.push(seq);
         }
         if due.is_empty() {
-            self.wb_ring[idx] = due;
+            self.scratch_due = due;
             return;
         }
         due.sort_unstable();
@@ -964,6 +998,7 @@ impl Core {
                 }
             }
 
+            let br_slot = self.rob.slot_of(seq);
             let e = self.rob.get_mut(seq).expect("entry still present");
             e.state = UopState::Done;
 
@@ -978,7 +1013,7 @@ impl Core {
                 };
                 e.actual_next = actual_next;
                 e.taken = taken;
-                let br = self.branch_info[(seq as usize) % self.cfg.rob_entries];
+                let br = self.branch_info[br_slot];
                 if actual_next != br.pred_next {
                     e.mispredicted = true;
                     let new_ghist = match inst {
@@ -989,8 +1024,7 @@ impl Core {
                 }
             }
         }
-        due.clear();
-        self.wb_ring[idx] = due;
+        self.scratch_due = due;
     }
 
     fn broadcast_wakeup(&mut self, written: SrcPhys) {
@@ -1046,40 +1080,35 @@ impl Core {
     // Issue / execute
     // ------------------------------------------------------------------
 
+    fn queue(&self, kind: IqKind) -> &IssueQueue {
+        match kind {
+            IqKind::Int => &self.iq_int,
+            IqKind::Mem => &self.iq_mem,
+            IqKind::Fp => &self.iq_fp,
+        }
+    }
+
     fn issue<const TRACED: bool>(&mut self, kind: IqKind) {
         // No entry can select this cycle: skipping the stage entirely is
         // observationally identical (an empty scan touches no stats).
-        let any_ready = match kind {
-            IqKind::Int => self.iq_int.has_ready(),
-            IqKind::Mem => self.iq_mem.has_ready(),
-            IqKind::Fp => self.iq_fp.has_ready(),
-        };
-        if !any_ready {
+        if !self.queue(kind).has_ready() {
             return;
         }
-        let mut ready = std::mem::take(&mut self.scratch_ready);
-        let mut remove = std::mem::take(&mut self.scratch_remove);
-        ready.clear();
-        remove.clear();
         let width = match kind {
-            IqKind::Int => {
-                self.iq_int.ready_candidates_into(&mut ready);
-                self.cfg.int_issue_width
-            }
-            IqKind::Mem => {
-                self.iq_mem.ready_candidates_into(&mut ready);
-                self.cfg.mem_issue_width
-            }
-            IqKind::Fp => {
-                self.iq_fp.ready_candidates_into(&mut ready);
-                self.cfg.fp_issue_width
-            }
+            IqKind::Int => self.cfg.int_issue_width,
+            IqKind::Mem => self.cfg.mem_issue_width,
+            IqKind::Fp => self.cfg.fp_issue_width,
         };
+        let mut remove = std::mem::take(&mut self.scratch_remove);
+        remove.clear();
+        // Walk the ready entries oldest-first only until the ports are
+        // spent; starting a uop never changes the queue, so the walk sees
+        // the same candidates a full ready list would hold.
         let mut ports = 0usize;
-        for &(pos, seq) in ready.iter() {
-            if ports >= width {
-                break;
-            }
+        let mut cursor = None;
+        while ports < width {
+            let Some((pos, seq)) = self.queue(kind).next_ready(cursor) else { break };
+            cursor = Some((pos, seq));
             // The scoreboard only surfaces entries whose sources have all
             // broadcast, so no per-candidate readiness poll is needed.
             debug_assert!({
@@ -1110,7 +1139,6 @@ impl Core {
             IqKind::Mem => self.iq_mem.remove_slots(&remove, &mut self.stats.mem_iq),
             IqKind::Fp => self.iq_fp.remove_slots(&remove, &mut self.stats.fp_iq),
         }
-        self.scratch_ready = ready;
         self.scratch_remove = remove;
     }
 
@@ -1374,17 +1402,14 @@ impl Core {
                 actual_next: f.pc.wrapping_add(4),
                 taken: false,
                 mispredicted: false,
-                ldq_idx: None,
-                in_stq: f.inst.is_store(),
                 outcome: None,
                 load_value: None,
             };
             let seq = self.rob.push(entry);
             if f.inst.is_control_flow() {
-                // Branch bookkeeping lives in a seq-indexed side table
-                // (live seqs span less than one ROB capacity, so the
-                // modular slot is unique while the uop is in flight).
-                self.branch_info[(seq as usize) % self.cfg.rob_entries] = BranchInfo {
+                // Branch bookkeeping lives in a side table indexed like
+                // the ROB ring (the slot is unique while in flight).
+                self.branch_info[self.rob.slot_of(seq)] = BranchInfo {
                     pred_next: f.pred_next,
                     pred_taken: f.pred_taken,
                     pre_hist: f.pre_hist,
@@ -1400,8 +1425,7 @@ impl Core {
             }
 
             if f.inst.is_load() {
-                let idx = self.lsu.dispatch_load(seq, &mut self.stats);
-                self.rob.get_mut(seq).expect("just pushed").ldq_idx = Some(idx);
+                self.lsu.dispatch_load(seq, &mut self.stats);
             }
             if f.inst.is_store() {
                 self.lsu.dispatch_store(seq, &mut self.stats);

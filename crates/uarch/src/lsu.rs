@@ -96,16 +96,15 @@ impl Lsu {
         self.stq.front()
     }
 
-    /// Allocates a load-queue entry at dispatch; returns its index.
+    /// Allocates a load-queue entry at dispatch.
     ///
     /// # Panics
     ///
     /// Panics if full.
-    pub fn dispatch_load(&mut self, seq: u64, stats: &mut Stats) -> usize {
+    pub fn dispatch_load(&mut self, seq: u64, stats: &mut Stats) {
         assert!(!self.ldq_full(), "LDQ overflow");
         self.ldq.push_back(LdqEntry { seq });
         stats.ldq_writes += 1;
-        self.ldq.len() - 1
     }
 
     /// Allocates a store-queue entry at dispatch.

@@ -323,16 +323,23 @@ impl Tage {
         if pred != taken {
             let start = (meta.provider + 1) as usize;
             if start < TAGE_TABLES {
-                let candidates: Vec<usize> = (start..TAGE_TABLES)
+                // Eligible tables as a bitmask (bit t = table t), so the
+                // commit path never allocates; the LFSR picks the n-th
+                // eligible table in ascending order.
+                let candidates: u32 = (start..TAGE_TABLES)
                     .filter(|&t| self.tables[t][meta.indices[t] as usize].useful == 0)
-                    .collect();
-                if candidates.is_empty() {
+                    .fold(0, |m, t| m | 1 << t);
+                if candidates == 0 {
                     for t in start..TAGE_TABLES {
                         let e = &mut self.tables[t][meta.indices[t] as usize];
                         e.useful = e.useful.saturating_sub(1);
                     }
                 } else {
-                    let pick = candidates[self.next_rand() as usize % candidates.len()];
+                    let mut rest = candidates;
+                    for _ in 0..self.next_rand() % candidates.count_ones() {
+                        rest &= rest - 1;
+                    }
+                    let pick = rest.trailing_zeros() as usize;
                     self.tables[pick][meta.indices[pick] as usize] = TageEntry {
                         tag: meta.tags[pick],
                         ctr: if taken { 0 } else { -1 },

@@ -9,7 +9,6 @@ use crate::regfile::PReg;
 use crate::uop::UopInfo;
 use rv_isa::exec::{Loaded, Outcome};
 use rv_isa::inst::Inst;
-use std::collections::VecDeque;
 
 /// Renamed destination with undo information for walk-based recovery.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,20 +101,44 @@ pub struct RobEntry {
     pub taken: bool,
     /// Whether this uop triggered a misprediction recovery.
     pub mispredicted: bool,
-    /// Load-queue index, if a load.
-    pub ldq_idx: Option<usize>,
-    /// Store-queue sequence, if a store.
-    pub in_stq: bool,
     /// Architectural effect computed at execute.
     pub outcome: Option<Outcome>,
     /// Load result computed when the access completed.
     pub load_value: Option<Loaded>,
 }
 
+impl RobEntry {
+    /// Placeholder contents of a ring slot no uop has used yet.
+    fn vacant() -> RobEntry {
+        let inst = Inst::Ebreak;
+        RobEntry {
+            seq: 0,
+            pc: 0,
+            inst,
+            dispatched_at: 0,
+            uop: crate::uop::classify(&inst),
+            srcs: [None; 3],
+            dest: DestPhys::None,
+            state: UopState::Done,
+            actual_next: 0,
+            taken: false,
+            mispredicted: false,
+            outcome: None,
+            load_value: None,
+        }
+    }
+}
+
 /// The reorder buffer: a bounded FIFO of in-flight uops addressed by `seq`.
+///
+/// Entries live in a power-of-two ring indexed by `seq & mask`: live seqs
+/// are contiguous and span at most `capacity`, so each owns a distinct
+/// slot. Dispatch writes an entry in place, commit just advances the head,
+/// and a squash just rewinds `next_seq` (squashed seqs are reissued).
 #[derive(Clone, Debug)]
 pub struct Rob {
-    entries: VecDeque<RobEntry>,
+    entries: Vec<RobEntry>,
+    mask: u64,
     capacity: usize,
     head_seq: u64,
     next_seq: u64,
@@ -124,22 +147,30 @@ pub struct Rob {
 impl Rob {
     /// Creates an empty ROB with `capacity` entries.
     pub fn new(capacity: usize) -> Rob {
-        Rob { entries: VecDeque::with_capacity(capacity), capacity, head_seq: 0, next_seq: 0 }
+        let ring = capacity.next_power_of_two().max(1);
+        Rob {
+            entries: vec![RobEntry::vacant(); ring],
+            mask: ring as u64 - 1,
+            capacity,
+            head_seq: 0,
+            next_seq: 0,
+        }
     }
 
     /// Entries currently in flight.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        (self.next_seq - self.head_seq) as usize
     }
 
     /// True when nothing is in flight.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.next_seq == self.head_seq
     }
 
     /// True when dispatch must stall.
     pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
+        self.len() >= self.capacity
     }
 
     /// Total entries the ROB can hold.
@@ -152,95 +183,80 @@ impl Rob {
         self.next_seq
     }
 
-    /// Appends a new entry; returns its sequence number.
+    /// Ring slot of `seq`: unique among in-flight uops, so side tables
+    /// sized to [`Rob::ring_size`] can be indexed by it too.
+    #[inline]
+    pub fn slot_of(&self, seq: u64) -> usize {
+        (seq & self.mask) as usize
+    }
+
+    /// Number of ring slots (the capacity rounded up to a power of two).
+    pub fn ring_size(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Writes a new entry into the next ring slot; returns its sequence
+    /// number.
     ///
     /// # Panics
     ///
     /// Panics if full.
-    pub fn push(&mut self, mut entry: RobEntry) -> u64 {
+    #[inline]
+    pub fn push(&mut self, entry: RobEntry) -> u64 {
         assert!(!self.is_full(), "ROB overflow");
         let seq = self.next_seq;
-        entry.seq = seq;
+        let slot = self.slot_of(seq);
+        self.entries[slot] = RobEntry { seq, ..entry };
         self.next_seq += 1;
-        self.entries.push_back(entry);
         seq
     }
 
+    #[inline]
+    fn live(&self, seq: u64) -> bool {
+        seq.wrapping_sub(self.head_seq) < self.next_seq - self.head_seq
+    }
+
     /// Looks up an in-flight entry by sequence number.
+    #[inline]
     pub fn get(&self, seq: u64) -> Option<&RobEntry> {
-        let idx = seq.checked_sub(self.head_seq)? as usize;
-        self.entries.get(idx)
+        self.live(seq).then(|| &self.entries[self.slot_of(seq)])
     }
 
     /// Mutable lookup by sequence number.
+    #[inline]
     pub fn get_mut(&mut self, seq: u64) -> Option<&mut RobEntry> {
-        let idx = seq.checked_sub(self.head_seq)? as usize;
-        self.entries.get_mut(idx)
+        let slot = self.slot_of(seq);
+        self.live(seq).then(move || &mut self.entries[slot])
     }
 
     /// The oldest in-flight entry.
+    #[inline]
     pub fn head(&self) -> Option<&RobEntry> {
-        self.entries.front()
+        self.get(self.head_seq)
     }
 
-    /// Removes the oldest entry (commit).
-    ///
-    /// # Panics
-    ///
-    /// Panics if empty.
-    pub fn pop_head(&mut self) -> RobEntry {
-        let e = self.entries.pop_front().expect("commit from empty ROB");
-        self.head_seq += 1;
-        e
-    }
-
-    /// Removes the oldest entry without returning it — the commit stage
-    /// copies the few fields it needs out of [`Rob::head`] first, so the
-    /// full entry never moves (entries are plain data with no `Drop`).
+    /// Retires the oldest entry (commit). The commit stage copies the few
+    /// fields it needs out of [`Rob::head`] first; the entry itself is
+    /// never moved, its slot is simply reused by a later dispatch.
     ///
     /// # Panics
     ///
     /// Panics if empty.
     pub fn drop_head(&mut self) {
-        self.entries.pop_front().expect("commit from empty ROB");
+        assert!(!self.is_empty(), "commit from empty ROB");
         self.head_seq += 1;
     }
 
-    /// Removes every entry younger than `seq` (exclusive), youngest first,
-    /// returning them for rename rollback.
-    pub fn squash_after(&mut self, seq: u64) -> Vec<RobEntry> {
-        let mut squashed = Vec::new();
-        self.squash_after_into(seq, &mut squashed);
-        squashed
-    }
-
-    /// [`Rob::squash_after`] into a caller-provided buffer (appended,
-    /// youngest first) — the core reuses one scratch vector across
-    /// mispredicts so recovery allocates nothing in steady state.
-    pub fn squash_after_into(&mut self, seq: u64, out: &mut Vec<RobEntry>) {
-        let keep = (seq + 1).saturating_sub(self.head_seq) as usize;
-        while self.entries.len() > keep {
-            out.push(self.entries.pop_back().expect("non-empty"));
-        }
-        self.next_seq = self.head_seq + self.entries.len() as u64;
-    }
-
-    /// [`Rob::squash_after`] reduced to the fields recovery actually
-    /// needs — the hot-path variant, so a mispredict shuffles ~40-byte
-    /// records instead of full entries.
+    /// Removes every entry younger than `seq` (exclusive), appending the
+    /// fields recovery needs to `out`, youngest first — so a mispredict
+    /// shuffles ~40-byte records instead of full entries.
     pub fn squash_after_brief(&mut self, seq: u64, out: &mut Vec<SquashedUop>) {
-        let keep = (seq + 1).saturating_sub(self.head_seq) as usize;
-        while self.entries.len() > keep {
-            let e = self.entries.back().expect("non-empty");
+        let keep = seq.saturating_add(1).clamp(self.head_seq, self.next_seq);
+        for s in (keep..self.next_seq).rev() {
+            let e = &self.entries[self.slot_of(s)];
             out.push(SquashedUop { seq: e.seq, inst: e.inst, dest: e.dest });
-            self.entries.pop_back();
         }
-        self.next_seq = self.head_seq + self.entries.len() as u64;
-    }
-
-    /// Iterates over in-flight entries, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &RobEntry> {
-        self.entries.iter()
+        self.next_seq = keep;
     }
 }
 
@@ -278,8 +294,6 @@ mod tests {
             actual_next: 0,
             taken: false,
             mispredicted: false,
-            ldq_idx: None,
-            in_stq: false,
             outcome: None,
             load_value: None,
         }
@@ -291,7 +305,8 @@ mod tests {
         for expect in 0..5 {
             assert_eq!(rob.push(dummy_entry()), expect);
         }
-        assert_eq!(rob.pop_head().seq, 0);
+        assert_eq!(rob.head().unwrap().seq, 0);
+        rob.drop_head();
         assert_eq!(rob.push(dummy_entry()), 5);
         assert_eq!(rob.get(3).unwrap().seq, 3);
         assert!(rob.get(0).is_none(), "committed entries are gone");
@@ -303,12 +318,14 @@ mod tests {
         for _ in 0..6 {
             rob.push(dummy_entry());
         }
-        let squashed = rob.squash_after(2);
+        let mut squashed = Vec::new();
+        rob.squash_after_brief(2, &mut squashed);
         let seqs: Vec<u64> = squashed.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![5, 4, 3]);
         assert_eq!(rob.len(), 3);
         // Sequence numbers after a squash are reissued.
         assert_eq!(rob.push(dummy_entry()), 3);
+        assert!(rob.get(4).is_none(), "squashed seqs are not in flight");
     }
 
     #[test]
@@ -325,10 +342,32 @@ mod tests {
         for _ in 0..4 {
             rob.push(dummy_entry());
         }
-        rob.pop_head();
-        rob.pop_head(); // head_seq = 2
-        let squashed = rob.squash_after(2);
+        rob.drop_head();
+        rob.drop_head(); // head_seq = 2
+        let mut squashed = Vec::new();
+        rob.squash_after_brief(2, &mut squashed);
         assert_eq!(squashed.len(), 1);
         assert_eq!(rob.len(), 1);
+        // Squashing at an already-committed seq empties the ROB.
+        rob.squash_after_brief(0, &mut squashed);
+        assert!(rob.is_empty());
+        assert_eq!(rob.next_seq(), 2);
+    }
+
+    #[test]
+    fn ring_wraps_with_non_power_of_two_capacity() {
+        let mut rob = Rob::new(6);
+        for round in 0..40u64 {
+            while !rob.is_full() {
+                let seq = rob.push(dummy_entry());
+                rob.get_mut(seq).unwrap().pc = seq * 4;
+            }
+            assert_eq!(rob.len(), 6);
+            for _ in 0..(round % 5 + 1) {
+                let h = rob.head().unwrap();
+                assert_eq!(h.pc, h.seq * 4, "slot holds its own seq's entry");
+                rob.drop_head();
+            }
+        }
     }
 }

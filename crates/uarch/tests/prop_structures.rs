@@ -122,8 +122,8 @@ proptest! {
     #[test]
     fn issue_queue_kinds_agree(ops in proptest::collection::vec(any::<bool>(), 1..120)) {
         let cap = 8;
-        let mut coll = IssueQueue::with_kind(IssueQueueKind::Collapsing, cap);
-        let mut nc = IssueQueue::with_kind(IssueQueueKind::NonCollapsing, cap);
+        let mut coll = IssueQueue::new(IssueQueueKind::Collapsing, cap, 64, 64);
+        let mut nc = IssueQueue::new(IssueQueueKind::NonCollapsing, cap, 64, 64);
         let mut cs = IssueQueueStats::new(cap);
         let mut ns = IssueQueueStats::new(cap);
         let mut next_seq = 0u64;

@@ -14,6 +14,7 @@ use rtl_power::Component;
 use rv_workloads::{by_name, Scale, Workload};
 use simpoint::SimPointConfig;
 use std::sync::Arc;
+use std::time::Instant;
 
 fn quick_flow() -> FlowConfig {
     FlowConfig {
@@ -145,6 +146,31 @@ fn three_config_campaign_computes_front_half_once_per_workload() {
     assert_eq!(report.stats.jobs, 2);
     assert!(report.stats.cache.detailed_ms > 0.0, "detailed sim time must be recorded");
     assert!(!report.stage_summary().is_empty());
+}
+
+/// Stage times are exclusive: a cold checkpoint lookup computes the
+/// profile and the phase analysis inside its own fill, and that nested
+/// time must be charged to Profile and Clustering only — so the three
+/// stage times together fit inside the one call that produced them.
+#[test]
+fn stage_times_are_exclusive_of_nested_stages() {
+    let store = ArtifactStore::new();
+    let w = by_name("dijkstra", Scale::Small).unwrap();
+    let t = Instant::now();
+    store.checkpoints(&w, &quick_flow()).unwrap();
+    let elapsed_ms = t.elapsed().as_secs_f64() * 1e3;
+    let s = store.stats();
+    assert_eq!((s.profile_computed, s.cluster_computed, s.checkpoint_computed), (1, 1, 1));
+    assert!(s.profile_ms > 0.0 && s.checkpoint_ms > 0.0, "{s:?}");
+    let charged = s.profile_ms + s.cluster_ms + s.checkpoint_ms;
+    assert!(
+        charged <= elapsed_ms,
+        "stages charged {charged:.3} ms (profile {:.3}, clustering {:.3}, checkpoints {:.3}) \
+         inside one {elapsed_ms:.3} ms call",
+        s.profile_ms,
+        s.cluster_ms,
+        s.checkpoint_ms
+    );
 }
 
 /// Acceptance: a parallel campaign's report is identical in content and
