@@ -78,7 +78,7 @@ struct DetailedRow {
 
 /// One workload's batched measurement: all three configs simulated as
 /// lanes of one batch (shared micro-op table, idle-cycle skipping on,
-/// one scoped thread per lane).
+/// one pool task per lane).
 struct BatchedRow {
     workload: &'static str,
     /// Each lane's kcycles/s over the whole batched pass's wall-clock.
@@ -94,16 +94,16 @@ struct BatchedRow {
 /// Times batched simulation of `w` across all three configs.
 /// `solo_kcps` are the per-config solo rates from the detailed matrix,
 /// used to price the equivalent sequential solo wall for the speedup.
-/// The lanes run on `pool` — the persistent-thread setup the flow's
-/// batched path uses (submitter helping) — so the measurement prices
-/// lane scheduling, not thread spawning.
+/// The lanes run as ordinary tasks on `pool`, as the flow's batched
+/// lanes do, so the measurement prices lane scheduling, not thread
+/// spawning.
 fn measure_batched(w: &Workload, solo_kcps: &[f64; 3], pool: &WorkPool) -> BatchedRow {
     let cfgs: Vec<BoomConfig> = CONFIGS.iter().map(|c| config_by_name(c)).collect();
     let uops = Core::shared_uop_table(&w.program.decoded_image());
     let run_batch = || -> [u64; 3] {
         let out: [std::sync::OnceLock<u64>; 3] =
             std::array::from_fn(|_| std::sync::OnceLock::new());
-        pool.run_scoped_helping((0..cfgs.len()).collect(), |i: usize| {
+        pool.run_scoped((0..cfgs.len()).collect(), |i: usize| {
             let mut core = Core::new_with_uops(cfgs[i].clone(), &w.program, &uops);
             core.set_idle_skip(true);
             let r = core.run(u64::MAX);
@@ -393,7 +393,7 @@ fn main() {
         }
     }
 
-    let lane_pool = WorkPool::new(default_jobs());
+    let pool = WorkPool::new(default_jobs());
     let batched: Vec<BatchedRow> = workloads
         .iter()
         .map(|w| {
@@ -404,7 +404,7 @@ fn main() {
                     .expect("detailed matrix covers every (config, workload)")
                     .detailed_kcps
             });
-            measure_batched(w, &solo, &lane_pool)
+            measure_batched(w, &solo, &pool)
         })
         .collect();
     println!(

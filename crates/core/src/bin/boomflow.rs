@@ -95,7 +95,6 @@ use boomflow::{
     JournalReplay, Request, RetryPolicy, ServeAddr, ServeOptions, Server, ServerMsg, SweepKnob,
     SweepOptions, SweepRequest, SweepSpec, WorkloadResult,
 };
-use rtl_power::Component;
 use rv_workloads::{all, by_name, Scale, Workload};
 use std::path::PathBuf;
 use std::process::exit;
@@ -354,10 +353,12 @@ fn print_result(r: &WorkloadResult) {
             .map(|s| s.to_string())
             .collect();
     let tile = r.tile_power_mw();
-    let rows: Vec<Vec<String>> = Component::ALL
+    // Only the components the report carries: a fixed-latency run has
+    // no L2 or DRAM interface to print.
+    let rows: Vec<Vec<String>> = r
+        .power
         .iter()
-        .map(|c| {
-            let p = r.power.component(*c);
+        .map(|(c, p)| {
             vec![
                 c.name().to_string(),
                 format!("{:.3}", p.leakage_mw),

@@ -18,6 +18,8 @@
 //! that schedules points across cells.
 
 use crate::artifacts::{ArtifactStore, CheckpointSet, PlannedPoint};
+use crate::pool::WorkPool;
+use crate::scheduler::default_jobs;
 use crate::supervisor::{
     panic_message, renormalized, Degradation, FailureKind, FaultInjection, PointFailure,
     RetryPolicy,
@@ -32,7 +34,7 @@ use rv_workloads::Workload;
 use simpoint::SimPointConfig;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Flow parameters (SimPoint settings, warm-up length, and supervision).
@@ -289,25 +291,25 @@ pub fn run_simpoint_flow_with_store(
 
     // Stages 4 + 5: detailed simulation and power per point — the points
     // are independent (the paper runs them as separate RTL-simulator
-    // jobs), so simulate them in parallel, each under its own
+    // jobs), so simulate them on a machine-wide pool, each under its own
     // supervision.
-    let outcomes: Vec<PointOutcome> = std::thread::scope(|s| {
-        let handles: Vec<_> = set
-            .points
-            .iter()
-            .map(|p| s.spawn(move || run_point_timed(cfg, p, flow, None, store)))
-            .collect();
-        set.points
-            .iter()
-            .zip(handles)
-            .map(|(p, h)| {
-                // The worker already isolates panics with `catch_unwind`;
-                // a failed join means something unwound outside it, which
-                // is still a quarantinable failure, not a reason to abort.
-                h.join().unwrap_or_else(|payload| Err(escaped_panic(p, payload.as_ref())))
-            })
-            .collect()
-    });
+    let slots: Vec<OnceLock<PointOutcome>> = set.points.iter().map(|_| OnceLock::new()).collect();
+    WorkPool::new(default_jobs().min(set.points.len())).run_scoped(
+        (0..set.points.len()).collect(),
+        |i| {
+            let lane = Lane { id: i, uops: None };
+            let _ = slots[i].set(lane.run(cfg, &set.points[i], flow, store));
+        },
+    );
+    let outcomes: Vec<PointOutcome> = set
+        .points
+        .iter()
+        .zip(slots)
+        .map(|(p, slot)| {
+            slot.into_inner()
+                .unwrap_or_else(|| Err(escaped_panic(p, &"point worker died".to_string())))
+        })
+        .collect();
 
     assemble_workload_result(&cfg.name, workload, &set, outcomes)
 }
@@ -337,7 +339,7 @@ pub(crate) fn escaped_panic(
 /// `uops` is the point's pre-classified micro-op table when this lane is
 /// part of a multi-config batch (classification is configuration-
 /// independent, so the batch computes it once and every lane shares it);
-/// `None` classifies privately, exactly as a solo run always has.
+/// `None` classifies privately.
 pub(crate) fn run_point_timed(
     cfg: &BoomConfig,
     point: &PlannedPoint,
@@ -351,46 +353,59 @@ pub(crate) fn run_point_timed(
     r
 }
 
-/// Runs one SimPoint for several configurations in one batched pass: the
-/// predecoded image travels with the shared checkpoint already, and the
-/// per-text-word micro-op table — configuration-independent — is
-/// classified once here and shared by every lane. The lanes run on the
-/// process-wide persistent [`lane_pool`](crate::pool) (they are
-/// read-only over the shared artifacts) with the submitting worker
-/// helping drain its own batch, so a batch's aggregate throughput scales
-/// with free cores on top of the classification sharing and no threads
-/// are created per work item. Each lane is still an independent
-/// [`run_point_timed`] under full per-point supervision (retry, budget,
-/// quarantine, `catch_unwind`), so lane `i`'s outcome — returned in
-/// `cfgs` order regardless of thread timing — is bit-identical to a solo
-/// run of `cfgs[i]` on the same point.
-pub(crate) fn run_point_batch(
-    cfgs: &[&BoomConfig],
-    point: &PlannedPoint,
-    flow: &FlowConfig,
-    store: &ArtifactStore,
-) -> Vec<PointOutcome> {
-    let uops = point.checkpoint.image.as_ref().map(Core::shared_uop_table);
-    let uops = uops.as_ref();
-    let outcomes: Vec<std::sync::OnceLock<PointOutcome>> =
-        cfgs.iter().map(|_| std::sync::OnceLock::new()).collect();
-    crate::pool::lane_pool().run_scoped_helping((0..cfgs.len()).collect(), |i| {
-        // Catch the panic here (not only in the pool's generic guard) so
-        // the payload is preserved in the quarantine record, exactly as
-        // the scoped-thread join used to.
-        let r =
-            catch_unwind(AssertUnwindSafe(|| run_point_timed(cfgs[i], point, flow, uops, store)))
-                .unwrap_or_else(|payload| Err(escaped_panic(point, payload.as_ref())));
-        let _ = outcomes[i].set(r);
-    });
-    outcomes
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner().unwrap_or_else(|| {
-                Err(escaped_panic(point, &"batched lane worker died".to_string()))
-            })
-        })
-        .collect()
+/// The micro-op table the lanes of one batch share: classified once, by
+/// whichever lane needs it first, and freed with the batch's last lane.
+#[derive(Default)]
+pub(crate) struct SharedUops(OnceLock<Option<Arc<UopTable>>>);
+
+/// One configuration's supervised simulation of one SimPoint, as a pool
+/// task. `id` locates the lane in its caller's outcome slots.
+pub(crate) struct Lane<L> {
+    pub(crate) id: L,
+    /// The batch's shared micro-op table; `None` for a solo lane, which
+    /// classifies privately.
+    pub(crate) uops: Option<Arc<SharedUops>>,
+}
+
+impl<L> Lane<L> {
+    /// Whether this lane shares its micro-op table with other lanes.
+    pub(crate) fn is_batched(&self) -> bool {
+        self.uops.is_some()
+    }
+
+    /// Runs the lane's point under full per-point supervision
+    /// ([`run_point_timed`]); a panic that escapes it is caught here with
+    /// its payload kept in the quarantine record. The outcome is
+    /// bit-identical whether or not the lane is batched.
+    pub(crate) fn run(
+        &self,
+        cfg: &BoomConfig,
+        point: &PlannedPoint,
+        flow: &FlowConfig,
+        store: &ArtifactStore,
+    ) -> PointOutcome {
+        catch_unwind(AssertUnwindSafe(|| {
+            let uops = self.uops.as_ref().and_then(|shared| {
+                shared
+                    .0
+                    .get_or_init(|| point.checkpoint.image.as_ref().map(Core::shared_uop_table))
+                    .as_ref()
+            });
+            run_point_timed(cfg, point, flow, uops, store)
+        }))
+        .unwrap_or_else(|payload| Err(escaped_panic(point, payload.as_ref())))
+    }
+}
+
+/// Splits one SimPoint's lanes — all at the same (workload, point), in
+/// caller order — into batches of up to `width` and yields one ordinary
+/// point task per lane. The lanes of a batch of two or more share one
+/// [`SharedUops`]; a batch of one runs solo.
+pub(crate) fn batch_lanes<L: Copy>(ids: &[L], width: usize) -> impl Iterator<Item = Lane<L>> + '_ {
+    ids.chunks(width.max(1)).flat_map(|chunk| {
+        let uops = (chunk.len() > 1).then(|| Arc::new(SharedUops::default()));
+        chunk.iter().map(move |&id| Lane { id, uops: uops.clone() })
+    })
 }
 
 /// Stable fingerprint of the supervision knobs that change point

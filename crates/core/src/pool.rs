@@ -1,18 +1,19 @@
-//! Persistent worker pool with per-submission queues and round-robin
-//! fairness.
+//! The one executor that runs simulation work: a persistent worker pool
+//! with per-submission queues and round-robin fairness.
 //!
-//! Two consumers share this machinery:
+//! Every consumer bounds its threads by the pool it submits to:
 //!
-//! * **Batched lanes** ([`run_point_batch`](crate::flow)) — one global
-//!   [`lane_pool`] replaces the scoped thread spawned per lane per
-//!   batched work item: threads are created once per process, not once
-//!   per (point × config), and the submitting worker helps drain its own
-//!   batch so a saturated pool can never stall a batch behind another.
-//! * **The campaign service** (`boomflow serve`) — one [`WorkPool`]
-//!   bounded by `--jobs` drains point tasks from *all* admitted requests.
-//!   Each submission gets its own queue and the workers take one job
-//!   from each non-empty queue in turn, so a small campaign never
-//!   starves behind a big one that was admitted first.
+//! * **Solo campaigns and sweeps** create one `WorkPool::new(jobs)` per
+//!   call and submit both phases to it — per-workload artifact
+//!   preparation, then one task per (cell, SimPoint). Batched lanes are
+//!   ordinary tasks of that submission, so `--jobs` bounds them too.
+//! * **The single-cell flow** (`run_simpoint_flow`) runs its points on a
+//!   pool sized to the machine's parallelism.
+//! * **The campaign service** (`boomflow serve`) owns one pool bounded by
+//!   `--jobs` and points every admitted request at it. Each submission
+//!   gets its own queue and the workers take one job from each non-empty
+//!   queue in turn, so a small campaign never starves behind a big one
+//!   that was admitted first.
 //!
 //! Submissions are *scoped*: [`WorkPool::run_scoped`] accepts closures
 //! borrowing the caller's stack and blocks until every task of the
@@ -24,7 +25,7 @@ use crate::sync::lock;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// A type-erased, lifetime-erased task. Safety: see [`WorkPool::run_scoped`].
@@ -61,7 +62,7 @@ struct Inner {
     shutdown: bool,
 }
 
-/// Persistent worker pool. See the module docs for the two use cases.
+/// Persistent worker pool. See the module docs for its consumers.
 pub struct WorkPool {
     inner: Arc<PoolShared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -128,19 +129,6 @@ impl WorkPool {
     /// consumed (run, or dropped by [`WorkPool::cancel_pending`]) — a
     /// task panic is caught per task and still counts as consumed.
     pub fn run_scoped<T: Send>(&self, tasks: Vec<T>, run: impl Fn(T) + Sync) {
-        self.submit(tasks, &run, false);
-    }
-
-    /// [`WorkPool::run_scoped`], with the submitting thread also
-    /// draining jobs from its own submission while it waits. Used by
-    /// the batched-lane path: the submitter is a scheduler worker that
-    /// would otherwise idle, and its participation guarantees the batch
-    /// makes progress even when every pool worker is busy elsewhere.
-    pub fn run_scoped_helping<T: Send>(&self, tasks: Vec<T>, run: impl Fn(T) + Sync) {
-        self.submit(tasks, &run, true);
-    }
-
-    fn submit<T: Send>(&self, tasks: Vec<T>, run: &(dyn Fn(T) + Sync), help: bool) {
         if tasks.is_empty() {
             return;
         }
@@ -148,12 +136,13 @@ impl WorkPool {
             // Late submission during shutdown: consume without running.
             return;
         }
+        let run = &run;
         let done = Arc::new(Done { remaining: Mutex::new(tasks.len()), cv: Condvar::new() });
         let jobs: VecDeque<Job> = tasks
             .into_iter()
             .map(|t| {
                 let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || run(t));
-                // SAFETY: `submit` blocks below until `done.remaining`
+                // SAFETY: `run_scoped` blocks below until `done.remaining`
                 // reaches 0, and the count only reaches 0 once every job
                 // has been consumed (executed or dropped). The borrows
                 // captured by `job` — `run` and the task values — are
@@ -168,25 +157,6 @@ impl WorkPool {
             g.batches.push_back(BatchSlot { jobs, done: Arc::clone(&done) });
         }
         self.inner.work_cv.notify_all();
-
-        if help {
-            // Drain jobs from *this* submission (identified by its
-            // tracker) alongside the pool workers.
-            loop {
-                let job = {
-                    let mut g = lock(&self.inner.state);
-                    let Some(batch) = g.batches.iter_mut().find(|b| Arc::ptr_eq(&b.done, &done))
-                    else {
-                        break;
-                    };
-                    match batch.jobs.pop_front() {
-                        Some(job) => job,
-                        None => break,
-                    }
-                };
-                run_job(job, &done);
-            }
-        }
 
         let mut g = lock(&done.remaining);
         while *g > 0 {
@@ -249,55 +219,40 @@ impl Drop for WorkPool {
     }
 }
 
-/// The process-wide lane pool used by batched point simulation, sized to
-/// the machine's parallelism and created on first use.
-pub(crate) fn lane_pool() -> &'static WorkPool {
-    static POOL: OnceLock<WorkPool> = OnceLock::new();
-    POOL.get_or_init(|| WorkPool::new(crate::scheduler::default_jobs()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
-    #[test]
-    fn scoped_tasks_all_run_exactly_once() {
-        let pool = WorkPool::new(3);
-        for n in [1usize, 2, 7, 64] {
-            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            pool.run_scoped((0..n).collect(), |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "n={n}");
+    /// Spins until `cond` holds on the pool's queue state.
+    fn wait_for_state(pool: &WorkPool, cond: impl Fn(&Inner) -> bool) {
+        while !cond(&lock(&pool.inner.state)) {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Spins until `flag` is set.
+    fn wait_for(flag: &AtomicBool) {
+        while !flag.load(Ordering::Acquire) {
+            std::thread::yield_now();
         }
     }
 
     #[test]
-    fn helping_submitter_participates() {
-        // Saturate a 1-worker pool with a long job from another
-        // submission, then verify a helping submission still completes
-        // promptly via the submitter itself.
-        let pool = Arc::new(WorkPool::new(1));
-        let blocker = Arc::clone(&pool);
-        let gate = Arc::new(AtomicBool::new(false));
-        let gate2 = Arc::clone(&gate);
-        let t = std::thread::spawn(move || {
-            blocker.run_scoped(vec![()], |()| {
-                while !gate2.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            });
-        });
-        // The single worker is (about to be) blocked on the gate; the
-        // helping submission must drain on the submitting thread.
-        let ran = AtomicUsize::new(0);
-        pool.run_scoped_helping((0..8).collect::<Vec<usize>>(), |_| {
-            ran.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(ran.load(Ordering::Relaxed), 8);
-        gate.store(true, Ordering::Release);
-        t.join().expect("blocker thread");
+    fn scoped_tasks_all_run_exactly_once() {
+        for workers in [1usize, 2, 5, 32] {
+            let pool = WorkPool::new(workers);
+            for n in [1usize, 2, 7, 64, 97] {
+                let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                pool.run_scoped((0..n).collect(), |i| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                });
+                assert!(
+                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                    "workers={workers} n={n}: some task ran zero or multiple times"
+                );
+            }
+        }
     }
 
     #[test]
@@ -315,56 +270,56 @@ mod tests {
 
     #[test]
     fn round_robin_interleaves_submissions() {
-        // Two submissions of slow tasks on one worker: the completion
-        // order must alternate between them rather than finishing all of
-        // one first.
+        // One worker. Submission A's first task holds the worker until
+        // submission B is queued behind A's remaining three; from then on
+        // the worker must alternate between the two queues.
         let pool = Arc::new(WorkPool::new(1));
         let order = Arc::new(Mutex::new(Vec::<(u8, usize)>::new()));
-        let mut handles = Vec::new();
-        for tag in 0u8..2 {
-            let pool = Arc::clone(&pool);
-            let order = Arc::clone(&order);
-            handles.push(std::thread::spawn(move || {
-                // Stagger the second submission so both are queued while
-                // the worker drains.
-                if tag == 1 {
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                }
+        let started = Arc::new(AtomicBool::new(false));
+        let gate = Arc::new(AtomicBool::new(false));
+        let submit = |tag: u8| {
+            let (pool, order) = (Arc::clone(&pool), Arc::clone(&order));
+            let (started, gate) = (Arc::clone(&started), Arc::clone(&gate));
+            std::thread::spawn(move || {
                 pool.run_scoped((0..4).collect::<Vec<usize>>(), |i| {
-                    std::thread::sleep(std::time::Duration::from_millis(10));
+                    if (tag, i) == (0, 0) {
+                        started.store(true, Ordering::Release);
+                        wait_for(&gate);
+                    }
                     lock(&order).push((tag, i));
                 });
-            }));
-        }
-        for h in handles {
-            h.join().expect("submitter");
-        }
+            })
+        };
+        let a = submit(0);
+        wait_for(&started);
+        let b = submit(1);
+        wait_for_state(&pool, |s| s.batches.len() == 2);
+        gate.store(true, Ordering::Release);
+        a.join().expect("submitter A");
+        b.join().expect("submitter B");
         let order = lock(&order).clone();
-        assert_eq!(order.len(), 8);
-        // Fairness: within the first half of completions, both
-        // submissions must appear (a FIFO pool would finish all of tag 0
-        // first).
-        let first_half: Vec<u8> = order.iter().take(4).map(|&(t, _)| t).collect();
-        assert!(
-            first_half.contains(&0) && first_half.contains(&1),
-            "round-robin must interleave submissions, got order {order:?}"
+        assert_eq!(
+            order,
+            [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (0, 3), (1, 2), (1, 3)],
+            "round-robin must alternate between queued submissions"
         );
     }
 
     #[test]
     fn cancel_pending_unblocks_submitters() {
         let pool = Arc::new(WorkPool::new(1));
+        let started = Arc::new(AtomicBool::new(false));
         let gate = Arc::new(AtomicBool::new(false));
-        let (p2, g2) = (Arc::clone(&pool), Arc::clone(&gate));
+        let (p2, s2, g2) = (Arc::clone(&pool), Arc::clone(&started), Arc::clone(&gate));
         let slow = std::thread::spawn(move || {
             p2.run_scoped(vec![()], |()| {
-                while !g2.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
+                s2.store(true, Ordering::Release);
+                wait_for(&g2);
             });
         });
         // Queue a second submission behind the blocked worker, then
         // cancel: it must return without running its task.
+        wait_for(&started);
         let (p3, ran) = (Arc::clone(&pool), Arc::new(AtomicUsize::new(0)));
         let ran2 = Arc::clone(&ran);
         let waiter = std::thread::spawn(move || {
@@ -372,7 +327,7 @@ mod tests {
                 ran2.fetch_add(1, Ordering::Relaxed);
             });
         });
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        wait_for_state(&pool, |s| s.batches.len() == 1);
         pool.cancel_pending();
         waiter.join().expect("cancelled submitter returns");
         assert_eq!(ran.load(Ordering::Relaxed), 0, "cancelled job must not run");

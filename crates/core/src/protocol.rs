@@ -109,11 +109,14 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolErr
     Ok(())
 }
 
-/// Reads one length-prefixed frame.
+/// Reads one length-prefixed frame. The payload buffer grows only as
+/// bytes arrive, so a length prefix the peer never backs with data costs
+/// no more memory than the data it did send.
 ///
 /// # Errors
 ///
-/// Oversized length prefixes and stream failures (including EOF).
+/// Oversized length prefixes and stream failures (including EOF, which
+/// a payload shorter than its prefix reports as `UnexpectedEof`).
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ProtocolError> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
@@ -121,8 +124,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ProtocolError> {
     if len > MAX_FRAME {
         return Err(ProtocolError::FrameTooLarge(len));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::new();
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+    }
     Ok(payload)
 }
 

@@ -24,9 +24,9 @@
 //!   collected into a structured [`CampaignReport`], and the caller decides
 //!   the process exit code from [`CampaignReport::all_ok`]. Cells share
 //!   the configuration-independent stage artifacts through an
-//!   [`ArtifactStore`] and their simulation points are drained by the
-//!   bounded work-stealing pool in [`crate::scheduler`]
-//!   ([`CampaignOptions::jobs`]).
+//!   [`ArtifactStore`] and their simulation points run as tasks on one
+//!   `--jobs`-bounded pool ([`crate::scheduler`],
+//!   [`CampaignOptions::jobs`]).
 
 use crate::artifacts::{ArtifactStore, CacheStats};
 use crate::flow::{FlowConfig, FlowError, WorkloadResult};
@@ -247,7 +247,7 @@ pub struct CellResult {
 }
 
 /// Why a whole cell failed.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum CellFailure {
     /// The flow returned an error (profiling failure, or every simulation
     /// point of the workload failed).
@@ -327,9 +327,16 @@ pub struct CampaignStats {
     pub cache: CacheStats,
     /// Points replayed from a resume journal instead of re-simulated.
     pub replayed_points: u64,
-    /// Per-config point simulations (lanes) that ran inside a multi-
-    /// config batch ([`CampaignOptions::batch_lanes`] ≥ 2); solo tasks
-    /// and replayed points do not count.
+    /// Wall-clock of the detailed-simulation phase (every point task
+    /// submitted to the pool until the last one finished), in ms.
+    pub detailed_wall_ms: f64,
+    /// This campaign's point tasks' run times summed over the pool's
+    /// workers, in ms — up to `jobs ×` [`CampaignStats::detailed_wall_ms`].
+    pub detailed_busy_ms: f64,
+    /// Per-config point simulations (lanes) that ran in a batch of two
+    /// or more sharing one micro-op table
+    /// ([`CampaignOptions::batch_lanes`] ≥ 2); solo lanes and replayed
+    /// points do not count.
     pub batched_points: u64,
     /// Total detailed-core cycles fast-forwarded by event-driven idle
     /// skipping across all surviving points (0 unless the campaign ran
@@ -449,7 +456,7 @@ impl CampaignReport {
                 "Detailed sim".to_string(),
                 "-".to_string(),
                 "-".to_string(),
-                format!("{:.1}", c.detailed_ms),
+                format!("{:.1}", s.detailed_wall_ms),
             ],
         ];
         if c.full_run_computed + c.full_run_hits > 0 {
@@ -462,6 +469,14 @@ impl CampaignReport {
             s.wall_ms,
             render_table(&header, &rows)
         );
+        if s.detailed_wall_ms > 0.0 {
+            out.push_str(&format!(
+                "Detailed sim thread time: {:.1} ms summed over {} worker(s), {:.0}% busy\n",
+                s.detailed_busy_ms,
+                s.jobs,
+                100.0 * s.detailed_busy_ms / (s.detailed_wall_ms * s.jobs as f64)
+            ));
+        }
         if c.disk_hits + c.disk_misses + c.disk_writes + c.disk_quarantined > 0 {
             out.push_str(&format!(
                 "Disk cache: {} hit(s), {} miss(es), {} write(s), {} quarantined\n",

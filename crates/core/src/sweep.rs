@@ -22,9 +22,10 @@
 //!    promoted from rung *N* to rung *N+1* never resimulates a point it
 //!    already ran at the same budget — only the *new* points of the
 //!    larger budget cost anything.
-//! 3. Fresh points are batched [`run_point_batch`]-style: lanes of up to
-//!    `batch_lanes` configurations share the predecoded image and the
-//!    per-text-word micro-op table of the point they simulate.
+//! 3. Fresh points are batched exactly as in a campaign: up to
+//!    `batch_lanes` configurations' lanes of one point run as ordinary
+//!    pool tasks that share the point's predecoded image and one
+//!    micro-op classification of it.
 //!
 //! Determinism contract: [`SweepReport::render_deterministic`] and
 //! [`SweepReport::render_frontier`] are byte-identical across `jobs`
@@ -38,12 +39,11 @@ use crate::artifacts::{
     config_fingerprint, ArtifactStore, CacheStats, CheckpointSet, PlannedPoint, PointKey,
 };
 use crate::flow::{
-    assemble_workload_result, escaped_panic, run_point_batch, run_point_timed, weighted_estimate,
-    FlowConfig, PointOutcome,
+    assemble_workload_result, batch_lanes, weighted_estimate, FlowConfig, PointOutcome,
 };
 use crate::journal::{sweep_fingerprint, CampaignJournal, JournalError};
 use crate::report::render_table;
-use crate::scheduler::{exec_tasks, PrepError};
+use crate::scheduler::{pool_or_private, prepare_workloads};
 use crate::supervisor::{
     fb, panic_message, render_cell_body, CellFailure, CellResult, FailureKind, PointFailure,
 };
@@ -492,9 +492,12 @@ pub fn rung_schedule(
 /// Sweep execution parameters.
 #[derive(Clone, Debug)]
 pub struct SweepOptions {
-    /// Worker threads for the point pool (1 = strictly sequential).
+    /// Worker threads of the sweep's private pool (≥ 1); ignored when
+    /// [`SweepOptions::pool`] supplies one.
     pub jobs: usize,
-    /// Maximum configurations per batched point lane group.
+    /// Maximum configurations per batch of lanes sharing one point's
+    /// micro-op table (see
+    /// [`CampaignOptions::batch_lanes`](crate::CampaignOptions::batch_lanes)).
     pub batch_lanes: usize,
     /// The ε-band of the elimination rule: configuration *c* is
     /// eliminated from a rung when, on every workload where it has an
@@ -833,31 +836,16 @@ pub fn run_sweep(
 ) -> Result<SweepReport, JournalError> {
     let t0 = Instant::now();
     let jobs = opts.jobs.max(1);
-    let lanes = opts.batch_lanes.max(1);
     let (cfgs, folded) = admit(cfgs.to_vec());
     let w = workloads.len();
     let fps: Vec<u64> = cfgs.iter().map(config_fingerprint).collect();
 
-    // Phase 1 — per-workload artifact preparation (profile → analysis →
-    // checkpoints), shared by every rung through the store.
-    let prep: Vec<OnceLock<Result<Arc<CheckpointSet>, PrepError>>> =
-        workloads.iter().map(|_| OnceLock::new()).collect();
-    exec_tasks(jobs, opts.pool.as_deref(), (0..w).collect(), |w_idx| {
-        let r = match catch_unwind(AssertUnwindSafe(|| store.checkpoints(&workloads[w_idx], flow)))
-        {
-            Ok(Ok(set)) => Ok(set),
-            Ok(Err(e)) => Err(PrepError::Flow(e)),
-            Err(payload) => Err(PrepError::Panicked(panic_message(payload.as_ref()))),
-        };
-        let _ = prep[w_idx].set(r);
-    });
-    let prep_of = |w_idx: usize| -> Result<Arc<CheckpointSet>, PrepError> {
-        prep[w_idx]
-            .get()
-            .cloned()
-            .unwrap_or_else(|| Err(PrepError::Panicked("artifact worker died".to_string())))
-    };
-    let sets: Vec<Option<Arc<CheckpointSet>>> = (0..w).map(|i| prep_of(i).ok()).collect();
+    // Phase 1 — per-workload artifact preparation, shared by every rung
+    // through the store.
+    let pool = pool_or_private(&opts.pool, jobs);
+    let prep = prepare_workloads(&pool, workloads, flow, store);
+    let sets: Vec<Option<Arc<CheckpointSet>>> =
+        prep.iter().map(|r| r.as_ref().ok().cloned()).collect();
 
     // The rung schedule depends on the largest selected-point count,
     // which the (deterministic, disk-cacheable) prep phase just fixed.
@@ -948,60 +936,31 @@ pub fn run_sweep(
         }
 
         // Group fresh work by (workload, point) so lanes share the
-        // point's predecoded image and micro-op table, then chunk each
+        // point's predecoded image and micro-op table, then batch each
         // group `batch_lanes` wide in alive order.
         fresh_idx.sort_unstable();
-        let mut tasks: Vec<(usize, usize, Vec<usize>)> = Vec::new();
-        let mut i = 0;
-        while i < fresh_idx.len() {
-            let (w_idx, p_idx, _) = fresh_idx[i];
-            let mut group: Vec<usize> = Vec::new();
-            while i < fresh_idx.len() && (fresh_idx[i].0, fresh_idx[i].1) == (w_idx, p_idx) {
-                group.push(fresh_idx[i].2);
-                i += 1;
+        let tasks: Vec<_> = fresh_idx
+            .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
+            .flat_map(|group| batch_lanes(group, opts.batch_lanes))
+            .collect();
+        let batched = tasks.iter().filter(|lane| lane.is_batched()).count() as u64;
+        pool.run_scoped(tasks, |lane| {
+            let (w_idx, p_idx, a_pos) = lane.id;
+            let Some(set) = sets[w_idx].as_ref() else {
+                return;
+            };
+            let point = truncated(&set.points[p_idx], rung.shift);
+            let cfg_idx = alive[a_pos];
+            let outcome = lane.run(&cfgs[cfg_idx], &point, flow, store);
+            if let Some(j) = &journal {
+                let enc_p = ((rung.shift as usize) << 24) | p_idx;
+                j.append(cfg_idx * w + w_idx, enc_p, &outcome);
             }
-            for chunk in group.chunks(lanes) {
-                tasks.push((w_idx, p_idx, chunk.to_vec()));
-            }
-        }
-
-        let batched_this = AtomicU64::new(0);
-        let slots_ref = &slots;
-        let alive_ref = &alive;
-        exec_tasks(
-            jobs,
-            opts.pool.as_deref(),
-            tasks,
-            |(w_idx, p_idx, a_positions): (usize, usize, Vec<usize>)| {
-                let Some(set) = sets[w_idx].as_ref() else {
-                    return;
-                };
-                let point = truncated(&set.points[p_idx], rung.shift);
-                let outcomes: Vec<PointOutcome> = if a_positions.len() == 1 {
-                    let cfg = &cfgs[alive_ref[a_positions[0]]];
-                    vec![catch_unwind(AssertUnwindSafe(|| {
-                        run_point_timed(cfg, &point, flow, None, store)
-                    }))
-                    .unwrap_or_else(|payload| Err(escaped_panic(&point, payload.as_ref())))]
-                } else {
-                    batched_this.fetch_add(a_positions.len() as u64, Ordering::Relaxed);
-                    let lane_cfgs: Vec<&BoomConfig> =
-                        a_positions.iter().map(|&a| &cfgs[alive_ref[a]]).collect();
-                    run_point_batch(&lane_cfgs, &point, flow, store)
-                };
-                for (&a_pos, outcome) in a_positions.iter().zip(&outcomes) {
-                    let cfg_idx = alive_ref[a_pos];
-                    if let Some(j) = &journal {
-                        let enc_p = ((rung.shift as usize) << 24) | p_idx;
-                        j.append(cfg_idx * w + w_idx, enc_p, outcome);
-                    }
-                    let key = point_key(fps[cfg_idx], &workloads[w_idx], flow, rung.shift, p_idx);
-                    store.record_point(key, outcome);
-                    let _ = slots_ref[slot_of(a_pos, w_idx, p_idx)].set(outcome.clone());
-                    charge_and_maybe_kill(1);
-                }
-            },
-        );
+            let key = point_key(fps[cfg_idx], &workloads[w_idx], flow, rung.shift, p_idx);
+            store.record_point(key, &outcome);
+            let _ = slots[slot_of(a_pos, w_idx, p_idx)].set(outcome);
+            charge_and_maybe_kill(1);
+        });
 
         // Fresh-point accounting, iterated in deterministic order on the
         // coordinator thread.
@@ -1070,7 +1029,6 @@ pub fn run_sweep(
             alive = survivors.into_iter().map(|a| alive[a]).collect();
             (promoted, entered - promoted)
         };
-        let batched = batched_this.load(Ordering::Relaxed);
         batched_total += batched;
         rung_summaries.push(RungSummary {
             points: rung.points,
@@ -1091,9 +1049,8 @@ pub fn run_sweep(
     let mut cells: Vec<CellResult> = Vec::with_capacity(alive.len() * w);
     for &cfg_idx in &alive {
         for (w_idx, workload) in workloads.iter().enumerate() {
-            let outcome = match prep_of(w_idx) {
-                Err(PrepError::Flow(e)) => Err(CellFailure::Flow(e)),
-                Err(PrepError::Panicked(m)) => Err(CellFailure::Panicked(m)),
+            let outcome = match &prep[w_idx] {
+                Err(e) => Err(e.clone()),
                 Ok(set) => {
                     let outcomes: Vec<PointOutcome> = set
                         .points
@@ -1116,7 +1073,7 @@ pub fn run_sweep(
                         .collect();
                     let name = &cfgs[cfg_idx].name;
                     match catch_unwind(AssertUnwindSafe(|| {
-                        assemble_workload_result(name, workload, &set, outcomes)
+                        assemble_workload_result(name, workload, set, outcomes)
                     })) {
                         Ok(Ok(r)) => Ok(Box::new(r)),
                         Ok(Err(e)) => Err(CellFailure::Flow(e)),

@@ -507,7 +507,13 @@ impl Core {
             && self.cycle - self.last_commit_cycle < HANG_LIMIT
         {
             self.step_cycle_impl::<TRACED>();
-            if idle_skip && self.exited.is_none() {
+            // Never skip past the run's last commit: the skipped cycles
+            // would land in this run's stats, while a skip-off core steps
+            // them in the next run — after a `reset_stats` between the
+            // two (the flow's warm-up/measure boundary), the two modes
+            // would disagree on both intervals' cycle counts.
+            if idle_skip && self.exited.is_none() && self.stats.retired - start_retired < max_insts
+            {
                 self.try_idle_skip();
             }
         }

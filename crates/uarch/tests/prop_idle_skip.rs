@@ -20,6 +20,7 @@ use boom_uarch::{BoomConfig, Core};
 use proptest::prelude::*;
 use rv_isa::asm::Assembler;
 use rv_isa::reg::Reg::{self, *};
+use rv_workloads::{by_name, Scale};
 
 /// Registers the generator is allowed to clobber freely.
 const SCRATCH: [Reg; 6] = [A0, A1, A2, A3, T1, T2];
@@ -140,6 +141,45 @@ fn skip_is_invisible(cfg: BoomConfig, ops: &[Op], iters: u32, seed: u64) {
         "memory divergence"
     );
     assert_eq!(plain.stats().idle_cycles_skipped, 0, "skip-off run must skip nothing");
+}
+
+/// A run split into `run(n)` calls with `reset_stats` between them — the
+/// flow's warm-up/measure boundary — must split its cycles identically
+/// in both modes: a skip that starts after a run's last commit would
+/// charge the skipped cycles to the interval before the reset.
+#[test]
+fn chunked_runs_split_cycles_identically() {
+    for name in ["bitcount", "dijkstra", "patricia"] {
+        let program = by_name(name, Scale::Test).unwrap().program;
+        let mut plain = Core::new(BoomConfig::medium(), &program);
+        let mut skip = Core::new(BoomConfig::medium(), &program);
+        skip.set_idle_skip(true);
+        let mut skipped = 0;
+        for chunk in 0.. {
+            // Short chunks put a boundary after nearly every commit, so
+            // every skip that could start at one gets the chance.
+            let n = 1 + chunk % 3;
+            let rp = plain.run(n);
+            let rs = skip.run(n);
+            assert_eq!(
+                (rp.cycles, rp.retired),
+                (rs.cycles, rs.retired),
+                "{name}: chunk {chunk} split differently under idle skipping"
+            );
+            assert_eq!(
+                plain.stats().fingerprint(),
+                skip.stats().fingerprint(),
+                "{name}: chunk {chunk}"
+            );
+            skipped += skip.stats().idle_cycles_skipped;
+            if rp.exited {
+                break;
+            }
+            plain.reset_stats();
+            skip.reset_stats();
+        }
+        assert!(skipped > 0, "{name}: the skip gate never engaged");
+    }
 }
 
 proptest! {

@@ -173,6 +173,37 @@ fn stage_times_are_exclusive_of_nested_stages() {
     );
 }
 
+/// The stage summary's "Detailed sim" row is the point phase's wall
+/// time, so it fits inside the campaign's wall time; the workers' summed
+/// thread time — up to `jobs` times larger — gets its own line.
+#[test]
+fn detailed_sim_wall_fits_in_campaign_wall() {
+    let report = supervise_matrix_with(
+        &BoomConfig::all_three(),
+        &test_workloads(),
+        &quick_flow(),
+        &CampaignOptions { jobs: 2, ..CampaignOptions::default() },
+    );
+    assert!(report.all_ok(), "{:?}", report.failure_log());
+    let s = &report.stats;
+    assert!(
+        s.detailed_wall_ms > 0.0 && s.detailed_wall_ms <= s.wall_ms,
+        "detailed sim wall {:.3} ms vs campaign wall {:.3} ms",
+        s.detailed_wall_ms,
+        s.wall_ms
+    );
+    assert!(
+        s.detailed_busy_ms <= 2.0 * s.detailed_wall_ms,
+        "2 workers were busy {:.3} ms in a {:.3} ms phase",
+        s.detailed_busy_ms,
+        s.detailed_wall_ms
+    );
+    let summary = report.stage_summary();
+    let row = summary.lines().find(|l| l.starts_with("Detailed sim ")).unwrap();
+    assert!(row.ends_with(&format!("{:.1}", s.detailed_wall_ms)), "row {row:?} in:\n{summary}");
+    assert!(summary.contains("Detailed sim thread time:"), "{summary}");
+}
+
 /// Acceptance: a parallel campaign's report is identical in content and
 /// ordering to the sequential one — for clean runs and for runs that
 /// degrade under fault injection.

@@ -67,58 +67,83 @@ fn shutdown(addr: &ServeAddr, handle: std::thread::JoinHandle<std::io::Result<()
     handle.join().unwrap().unwrap();
 }
 
-/// The acceptance scenario: two clients concurrently submit overlapping
-/// matrices; each report is byte-identical to its solo run, and the
-/// overlap is actually shared — the stage summaries surface single-flight
-/// or warm-store hits. Exercised at both ends of the pool-width range.
+/// Two clients concurrently submit overlapping matrices `req_a` and
+/// `req_b` to a `jobs`-wide server; each report must be byte-identical to
+/// its solo run, and the overlap must actually be shared — a stage
+/// summary surfaces single-flight or warm-store hits.
+fn assert_overlapping_clients_share(
+    tag: &str,
+    jobs: usize,
+    req_a: &CampaignRequest,
+    req_b: &CampaignRequest,
+) {
+    let opts = ServeOptions {
+        jobs,
+        max_active: 4,
+        cache_dir: None,
+        state_dir: scratch(&format!("state-{tag}")),
+        kill_after_points: None,
+    };
+    let (addr, handle) = start_server(&format!("sock-{tag}"), opts);
+    let results: Vec<ServerMsg> = std::thread::scope(|s| {
+        let handles: Vec<_> = [req_a, req_b]
+            .into_iter()
+            .map(|req| {
+                let addr = addr.clone();
+                let msg = ClientMsg::Submit(Request::Campaign(req.clone()));
+                s.spawn(move || roundtrip(&addr, &msg))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    let mut shared = false;
+    for (req, result) in [req_a, req_b].into_iter().zip(&results) {
+        let ServerMsg::Done { ok, report, summary, .. } = result else {
+            panic!("{tag}: expected Done, got {result:?}");
+        };
+        assert!(ok, "{tag}: served campaign failed:\n{summary}");
+        assert_eq!(
+            String::from_utf8(report.clone()).unwrap(),
+            solo_report(req),
+            "{tag}: served report must be byte-identical to the solo run"
+        );
+        shared |= summary.contains("Single-flight:");
+    }
+    assert!(
+        shared,
+        "{tag}: the overlapping sha points must surface as single-flight dedup or \
+         warm-store hits in a stage summary"
+    );
+    shutdown(&addr, handle);
+}
+
+/// The acceptance scenario: overlap on sha — request A computes it first
+/// (or concurrently), request B must coalesce onto those very points.
+/// Exercised at both ends of the pool-width range.
 #[test]
 fn concurrent_overlapping_clients_match_solo_reports() {
     for jobs in [1usize, 4] {
-        let opts = ServeOptions {
+        assert_overlapping_clients_share(
+            &format!("jobs-{jobs}"),
             jobs,
-            max_active: 4,
-            cache_dir: None,
-            state_dir: scratch(&format!("state-{jobs}")),
-            kill_after_points: None,
-        };
-        let (addr, handle) = start_server(&format!("sock-{jobs}"), opts);
-
-        // Overlap on sha: request A computes it first (or concurrently),
-        // request B must coalesce onto those very points.
-        let req_a = campaign_request("bitcount,sha");
-        let req_b = campaign_request("sha,qsort");
-        let results: Vec<ServerMsg> = std::thread::scope(|s| {
-            let handles: Vec<_> = [&req_a, &req_b]
-                .into_iter()
-                .map(|req| {
-                    let addr = addr.clone();
-                    let msg = ClientMsg::Submit(Request::Campaign(req.clone()));
-                    s.spawn(move || roundtrip(&addr, &msg))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-
-        let mut shared = false;
-        for (req, result) in [&req_a, &req_b].into_iter().zip(&results) {
-            let ServerMsg::Done { ok, report, summary, .. } = result else {
-                panic!("jobs {jobs}: expected Done, got {result:?}");
-            };
-            assert!(ok, "jobs {jobs}: served campaign failed:\n{summary}");
-            assert_eq!(
-                String::from_utf8(report.clone()).unwrap(),
-                solo_report(req),
-                "jobs {jobs}: served report must be byte-identical to the solo run"
-            );
-            shared |= summary.contains("Single-flight:");
-        }
-        assert!(
-            shared,
-            "jobs {jobs}: the overlapping sha points must surface as single-flight \
-             dedup or warm-store hits in a stage summary"
+            &campaign_request("bitcount,sha"),
+            &campaign_request("sha,qsort"),
         );
-        shutdown(&addr, handle);
     }
+}
+
+/// Batched lanes take the same single-flight path as solo lanes: two
+/// overlapping three-config campaigns batched three wide still share
+/// their overlap and still match their solo runs byte for byte.
+#[test]
+fn batched_overlapping_clients_share_points() {
+    let batched = |workloads: &str| CampaignRequest {
+        config: "all".to_string(),
+        batch_lanes: 3,
+        ..campaign_request(workloads)
+    };
+    assert_overlapping_clients_share("batched", 2, &batched("bitcount,sha"), &batched("sha,qsort"));
 }
 
 /// Identical submissions coalesce onto one run: both clients are told
