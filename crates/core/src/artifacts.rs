@@ -8,7 +8,7 @@
 //! Spike/gem5 artifacts exploit). A campaign over many configurations
 //! therefore needs each of those stages exactly once per workload.
 //!
-//! [`ArtifactStore`] memoizes the three stages behind a thread-safe,
+//! [`ArtifactStore`] memoizes four stages behind a thread-safe,
 //! compute-exactly-once cache:
 //!
 //! * **Profile** — [`BbvProfile`], keyed by (program fingerprint,
@@ -18,20 +18,35 @@
 //! * **CheckpointSet** — [`CheckpointSet`], keyed by the analysis key
 //!   plus the warm-up length. Checkpoints are held behind [`Arc`]
 //!   ([`rv_isa::checkpoint::SharedCheckpoint`]) so the memory images are
-//!   shared — not cloned — across configurations and worker threads.
+//!   shared — not cloned — across configurations and worker threads;
+//! * **Point** — one supervised detailed simulation of one selected
+//!   point, keyed by the configuration fingerprint, the full checkpoint
+//!   key, the interval truncation shift, the point index, and the
+//!   supervision fingerprint. Campaigns, sweep rungs, the single-cell
+//!   flow and the campaign service all run their points through it
+//!   ([`crate::scheduler::PointPhase`]), so concurrent callers of one
+//!   point share a single computation and later callers reuse it.
+//!
+//! The first three stages are also persisted by the optional disk tier;
+//! point outcomes live in memory only (the campaign journal is their
+//! durable form).
 //!
 //! A full-run baseline cache ([`ArtifactStore::full_run`]) rides along for
 //! the methodology benches that compare SimPoint against full detailed
 //! simulation: the baseline is (configuration, workload)-keyed and only
 //! ever simulated once per store.
 //!
-//! Every stage records compute/hit counters and wall-clock totals
-//! ([`CacheStats`]), which the campaign scheduler surfaces through
+//! Every stage records compute/hit counters and exclusive wall-clock
+//! totals ([`CacheStats`]), which the campaign scheduler surfaces through
 //! [`CampaignReport`](crate::CampaignReport) — the reuse win is
 //! observable, not assumed.
 
 use crate::diskcache::{CacheStage, DiskCache, DiskFaultInjection, DiskLookup};
-use crate::flow::{run_full, FlowConfig, FlowError, FullRunResult};
+use crate::flow::{
+    run_full, supervision_fingerprint, FlowConfig, FlowError, FullRunResult, PointOutcome,
+    PointResult,
+};
+use crate::supervisor::PointFailure;
 use crate::sync::lock;
 use boom_uarch::BoomConfig;
 use rv_isa::bbv::BbvProfile;
@@ -56,23 +71,20 @@ type CheckpointKey = (AnalysisKey, u64);
 /// Cache key of a full-run baseline.
 type FullRunKey = (u64, u64);
 
-/// Cache key of one memoized detailed-sim point outcome in a sweep:
-/// (config fingerprint, program fingerprint, interval size, warm-up,
-/// interval truncation shift, point index). Budget parameters are part of
-/// the key so a truncated rung-0 measurement never masquerades as the
-/// full-length result a later rung needs.
-pub(crate) type PointKey = (u64, u64, u64, u64, u32, u32);
-
-/// Cache key of a cross-request shared point outcome: the sweep
-/// [`PointKey`] plus the supervision fingerprint (retry policy, fault
-/// injection, idle-skip) — supervision knobs change *outcomes* (attempt
-/// counts, skipped-cycle stats), so requests that differ in them must not
-/// share results.
-pub(crate) type SharedPointKey = (PointKey, u64);
+/// Cache key of one memoized point outcome: (configuration fingerprint,
+/// checkpoint key, interval truncation shift, point index, supervision
+/// fingerprint). The checkpoint key pins the exact point set the index
+/// refers to, the shift keeps a truncated rung-0 measurement from
+/// masquerading as the full-length result, and the supervision
+/// fingerprint keeps outcomes of different retry or fault-injection
+/// policies apart — so one store can serve any mix of flows.
+pub(crate) type PointKey = (u64, CheckpointKey, u32, u32, u64);
 
 /// A compute-exactly-once slot: concurrent callers of the same key block
 /// on the first computation and then share its result.
-type Slot<T> = Arc<OnceLock<Result<T, FlowError>>>;
+type Slot<T, E = FlowError> = Arc<OnceLock<Result<T, E>>>;
+/// A point-stage slot: holds a [`PointOutcome`].
+type PointSlot = Slot<(PointResult, u32), PointFailure>;
 
 /// One selected simulation point, fully planned for detailed simulation:
 /// its checkpoint (shared, not cloned), warm-up length, and measurement
@@ -135,14 +147,16 @@ pub struct CacheStats {
     pub full_run_computed: u64,
     /// Full-run lookups served from cache.
     pub full_run_hits: u64,
+    /// Detailed point simulations executed (point-stage misses).
+    pub point_computed: u64,
     /// Wall-clock spent profiling, in ms.
     pub profile_ms: f64,
     /// Wall-clock spent clustering, in ms.
     pub cluster_ms: f64,
     /// Wall-clock spent capturing checkpoints, in ms.
     pub checkpoint_ms: f64,
-    /// Wall-clock spent in detailed point simulation, in ms (accumulated
-    /// across worker threads; not a cached stage).
+    /// Wall-clock spent simulating detailed points, in ms (the point
+    /// stage's compute time, summed across worker threads).
     pub detailed_ms: f64,
     /// Wall-clock spent simulating full-run baselines, in ms.
     pub full_run_ms: f64,
@@ -154,23 +168,52 @@ pub struct CacheStats {
     pub disk_writes: u64,
     /// Disk entries that failed validation and were quarantined.
     pub disk_quarantined: u64,
-    /// Cached stage *errors* replayed to later callers — the failure
-    /// context is the original compute's, not the replaying cell's.
+    /// Cached stage *errors* (and quarantined point outcomes) replayed
+    /// to later callers — the failure context is the original compute's,
+    /// not the replaying cell's.
     pub error_replays: u64,
-    /// Sweep point lookups served from the point-outcome memo (a
-    /// promoted config re-reading a lower-rung measurement).
+    /// Point lookups served from the point stage instead of simulated: a
+    /// promoted sweep config re-reading a lower-rung measurement, a
+    /// journal-replayed point, or a point another campaign (or request)
+    /// already ran or is running — the last kind is also counted in
+    /// `inflight_dedup_hits`.
     pub sweep_point_hits: u64,
-    /// Sweep point outcomes recorded into the point-outcome memo.
-    pub sweep_point_stored: u64,
-    /// Lookups (stage or shared point) that found the key *in flight* —
-    /// another caller was already computing it — and blocked on that
-    /// computation instead of duplicating it. Nonzero means single-flight
+    /// Lookups (of any stage) that found the key *in flight* — another
+    /// caller was already computing it — and blocked on that computation
+    /// instead of duplicating it. Nonzero means single-flight
     /// deduplication actually coalesced concurrent work.
     pub inflight_dedup_hits: u64,
-    /// Shared point lookups served from an already-*completed* slot of
-    /// the cross-request point map — warm reuse of work another request
-    /// (or an earlier pass) finished.
-    pub warm_store_hits: u64,
+}
+
+impl CacheStats {
+    /// The counters accumulated since the `start` snapshot of the same
+    /// store: what one campaign or sweep did to a long-lived store (plus
+    /// whatever concurrent callers of the store did meanwhile).
+    pub fn since(&self, start: &CacheStats) -> CacheStats {
+        CacheStats {
+            profile_computed: self.profile_computed - start.profile_computed,
+            profile_hits: self.profile_hits - start.profile_hits,
+            cluster_computed: self.cluster_computed - start.cluster_computed,
+            cluster_hits: self.cluster_hits - start.cluster_hits,
+            checkpoint_computed: self.checkpoint_computed - start.checkpoint_computed,
+            checkpoint_hits: self.checkpoint_hits - start.checkpoint_hits,
+            full_run_computed: self.full_run_computed - start.full_run_computed,
+            full_run_hits: self.full_run_hits - start.full_run_hits,
+            point_computed: self.point_computed - start.point_computed,
+            profile_ms: self.profile_ms - start.profile_ms,
+            cluster_ms: self.cluster_ms - start.cluster_ms,
+            checkpoint_ms: self.checkpoint_ms - start.checkpoint_ms,
+            detailed_ms: self.detailed_ms - start.detailed_ms,
+            full_run_ms: self.full_run_ms - start.full_run_ms,
+            disk_hits: self.disk_hits - start.disk_hits,
+            disk_misses: self.disk_misses - start.disk_misses,
+            disk_writes: self.disk_writes - start.disk_writes,
+            disk_quarantined: self.disk_quarantined - start.disk_quarantined,
+            error_replays: self.error_replays - start.error_replays,
+            sweep_point_hits: self.sweep_point_hits - start.sweep_point_hits,
+            inflight_dedup_hits: self.inflight_dedup_hits - start.inflight_dedup_hits,
+        }
+    }
 }
 
 #[derive(Default)]
@@ -183,6 +226,7 @@ struct Counters {
     checkpoint_hits: AtomicU64,
     full_run_computed: AtomicU64,
     full_run_hits: AtomicU64,
+    point_computed: AtomicU64,
     profile_us: AtomicU64,
     cluster_us: AtomicU64,
     checkpoint_us: AtomicU64,
@@ -194,34 +238,23 @@ struct Counters {
     disk_quarantined: AtomicU64,
     error_replays: AtomicU64,
     sweep_point_hits: AtomicU64,
-    sweep_point_stored: AtomicU64,
     inflight_dedup_hits: AtomicU64,
-    warm_store_hits: AtomicU64,
 }
 
-/// Thread-safe memoization of the flow's configuration-independent
-/// stages, plus the full-run baseline cache and stage accounting.
+/// Thread-safe memoization of the flow's four stages, plus the full-run
+/// baseline cache and stage accounting.
 ///
-/// One store per campaign (or per bench process) is the intended scope:
-/// artifacts live for the store's lifetime, and [`CacheStats`] then
-/// describes exactly that campaign's reuse.
+/// Artifacts live for the store's lifetime. Every key carries everything
+/// its result depends on, so one store may serve many campaigns, sweeps
+/// and service requests at once; each reports the counters accumulated
+/// while it ran ([`CacheStats::since`]).
 #[derive(Default)]
 pub struct ArtifactStore {
     profiles: Mutex<HashMap<ProfileKey, Slot<Arc<BbvProfile>>>>,
     analyses: Mutex<HashMap<AnalysisKey, Slot<Arc<SimPointAnalysis>>>>,
     checkpoints: Mutex<HashMap<CheckpointKey, Slot<Arc<CheckpointSet>>>>,
     full_runs: Mutex<HashMap<FullRunKey, Slot<Arc<FullRunResult>>>>,
-    /// Sweep point-outcome memo: completed detailed-sim measurements
-    /// keyed by (config, program, budget) so successive-halving rungs
-    /// and resumed sweeps never resimulate a finished point.
-    points: Mutex<HashMap<PointKey, crate::flow::PointOutcome>>,
-    /// Cross-request single-flight map of *supervised* point outcomes,
-    /// keyed by ([`PointKey`], supervision fingerprint): concurrent
-    /// requests for the same point share one computation (the second
-    /// blocks on the first), and later requests reuse the completed
-    /// result warm. Only point-sharing schedulers (the campaign service)
-    /// populate it.
-    flights: Mutex<HashMap<SharedPointKey, Arc<OnceLock<crate::flow::PointOutcome>>>>,
+    points: Mutex<HashMap<PointKey, PointSlot>>,
     counters: Counters,
     /// Optional crash-safe disk tier behind the in-memory memo maps.
     disk: Option<DiskCache>,
@@ -259,15 +292,16 @@ thread_local! {
     static NESTED_NS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn memoize<K, T>(
-    map: &Mutex<HashMap<K, Slot<T>>>,
+fn memoize<K, T, E>(
+    map: &Mutex<HashMap<K, Slot<T, E>>>,
     key: K,
     meters: MemoMeters<'_>,
-    compute: impl FnOnce() -> (Result<T, FlowError>, bool),
-) -> Result<T, FlowError>
+    compute: impl FnOnce() -> (Result<T, E>, bool),
+) -> Result<T, E>
 where
     K: Eq + Hash,
     T: Clone,
+    E: Clone,
 {
     let call = Instant::now();
     let slot = lock(map).entry(key).or_default().clone();
@@ -618,63 +652,57 @@ impl ArtifactStore {
         )
     }
 
-    /// Adds detailed-simulation wall-clock (one point's attempt span) to
-    /// the stage accounting.
-    pub(crate) fn charge_detailed_us(&self, us: u64) {
-        self.counters.detailed_us.fetch_add(us, Ordering::Relaxed);
+    /// The point-stage key of point `p_idx` of `workload`'s checkpoint
+    /// set under `flow`, simulated on the configuration with fingerprint
+    /// `cfg_fp` at interval truncation `shift`.
+    pub(crate) fn point_key(
+        cfg_fp: u64,
+        workload: &Workload,
+        flow: &FlowConfig,
+        shift: u32,
+        p_idx: usize,
+    ) -> PointKey {
+        let checkpoints = Self::checkpoint_key(workload, flow);
+        (cfg_fp, checkpoints, shift, p_idx as u32, supervision_fingerprint(flow))
     }
 
-    /// Looks up a completed sweep point outcome; a hit means a promoted
-    /// (or resumed) config re-reads its earlier measurement instead of
-    /// resimulating it.
-    pub(crate) fn cached_point(&self, key: &PointKey) -> Option<crate::flow::PointOutcome> {
-        let hit = lock(&self.points).get(key).cloned();
-        if hit.is_some() {
-            self.counters.sweep_point_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
-    /// Records a sweep point outcome (fresh simulation or journal
-    /// replay) into the point-outcome memo.
-    pub(crate) fn record_point(&self, key: PointKey, outcome: &crate::flow::PointOutcome) {
-        if lock(&self.points).insert(key, outcome.clone()).is_none() {
-            self.counters.sweep_point_stored.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Runs one supervised point through the cross-request single-flight
-    /// map: the first caller of `key` computes, concurrent callers of an
-    /// in-flight key block and share the result (`inflight_dedup_hits`),
-    /// and later callers reuse the completed slot (`warm_store_hits`).
-    pub(crate) fn singleflight_point(
+    /// Stage 4 — one supervised detailed point, run by `simulate` at most
+    /// once per [`PointKey`]: concurrent callers of an in-flight key block
+    /// on the first and share its outcome, later callers reuse it.
+    /// Quarantine records are outcomes like any other and are shared the
+    /// same way.
+    pub(crate) fn point(
         &self,
-        key: SharedPointKey,
-        compute: impl FnOnce() -> crate::flow::PointOutcome,
-    ) -> crate::flow::PointOutcome {
-        // The completion check happens under the map lock so "found it in
-        // flight" is decided atomically with the slot lookup (observable
-        // and testable without timing races).
-        let (slot, pre_done) = {
-            let mut g = lock(&self.flights);
-            let slot = g.entry(key).or_default().clone();
-            let pre_done = slot.get().is_some();
-            (slot, pre_done)
-        };
-        let mut ran = false;
-        let result = slot.get_or_init(|| {
-            ran = true;
-            compute()
-        });
-        if !ran {
-            let c = &self.counters;
-            if pre_done {
-                c.warm_store_hits.fetch_add(1, Ordering::Relaxed);
-            } else {
-                c.inflight_dedup_hits.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        result.clone()
+        key: PointKey,
+        simulate: impl FnOnce() -> PointOutcome,
+    ) -> PointOutcome {
+        let c = &self.counters;
+        memoize(
+            &self.points,
+            key,
+            MemoMeters {
+                computed: &c.point_computed,
+                hits: &c.sweep_point_hits,
+                error_replays: &c.error_replays,
+                inflight: &c.inflight_dedup_hits,
+                spent_us: &c.detailed_us,
+            },
+            || (simulate(), false),
+        )
+    }
+
+    /// Whether the point stage already holds a completed outcome for `key`
+    /// (a lookup would be a hit that simulates nothing).
+    pub(crate) fn has_point(&self, key: &PointKey) -> bool {
+        lock(&self.points).get(key).is_some_and(|slot| slot.get().is_some())
+    }
+
+    /// Seeds the point stage with an outcome recovered from a journal.
+    /// A key that already completed keeps its outcome (the flow is
+    /// deterministic, so both are the same).
+    pub(crate) fn prefill_point(&self, key: PointKey, outcome: PointOutcome) {
+        let slot = lock(&self.points).entry(key).or_default().clone();
+        let _ = slot.set(outcome);
     }
 
     /// Snapshot of the per-stage counters and wall-clock totals.
@@ -690,6 +718,7 @@ impl ArtifactStore {
             checkpoint_hits: c.checkpoint_hits.load(Ordering::Relaxed),
             full_run_computed: c.full_run_computed.load(Ordering::Relaxed),
             full_run_hits: c.full_run_hits.load(Ordering::Relaxed),
+            point_computed: c.point_computed.load(Ordering::Relaxed),
             profile_ms: ms(&c.profile_us),
             cluster_ms: ms(&c.cluster_us),
             checkpoint_ms: ms(&c.checkpoint_us),
@@ -701,9 +730,7 @@ impl ArtifactStore {
             disk_quarantined: c.disk_quarantined.load(Ordering::Relaxed),
             error_replays: c.error_replays.load(Ordering::Relaxed),
             sweep_point_hits: c.sweep_point_hits.load(Ordering::Relaxed),
-            sweep_point_stored: c.sweep_point_stored.load(Ordering::Relaxed),
             inflight_dedup_hits: c.inflight_dedup_hits.load(Ordering::Relaxed),
-            warm_store_hits: c.warm_store_hits.load(Ordering::Relaxed),
         }
     }
 }
@@ -831,9 +858,10 @@ mod tests {
 
     #[test]
     fn singleflight_point_counts_inflight_and_warm_hits() {
-        use crate::supervisor::{FailureKind, PointFailure};
+        use crate::supervisor::FailureKind;
         let store = Arc::new(ArtifactStore::new());
-        let key: super::SharedPointKey = ((1, 2, 3, 4, 0, 0), 42);
+        let w = by_name("bitcount", Scale::Test).unwrap();
+        let key = ArtifactStore::point_key(42, &w, &quick_flow(), 0, 0);
         let outcome = |tag: &str| {
             Err(PointFailure {
                 simpoint: 0,
@@ -851,7 +879,7 @@ mod tests {
         let first = {
             let store = Arc::clone(&store);
             std::thread::spawn(move || {
-                store.singleflight_point(key, || {
+                store.point(key, || {
                     entered_tx.send(()).expect("signal entry");
                     release_rx.recv().expect("await release");
                     outcome("first")
@@ -859,9 +887,10 @@ mod tests {
             })
         };
         entered_rx.recv().expect("first caller entered compute");
+        assert!(!store.has_point(&key), "an in-flight point is not complete");
         let second = {
             let store = Arc::clone(&store);
-            std::thread::spawn(move || store.singleflight_point(key, || outcome("second")))
+            std::thread::spawn(move || store.point(key, || outcome("second")))
         };
         // The second caller has looked up the slot (and decided "in
         // flight", since the first has not completed) exactly when the
@@ -869,7 +898,7 @@ mod tests {
         // Only then is the first computation released.
         loop {
             let entered =
-                lock(&store.flights).get(&key).is_some_and(|slot| Arc::strong_count(slot) >= 3);
+                lock(&store.points).get(&key).is_some_and(|slot| Arc::strong_count(slot) >= 3);
             if entered {
                 break;
             }
@@ -888,12 +917,42 @@ mod tests {
                 Ok(_) => panic!("synthetic outcome must be a failure"),
             }
         }
-        // Third lookup after completion: a warm-store hit.
-        let c = store.singleflight_point(key, || outcome("third"));
+        // Third lookup after completion: a completed-slot hit.
+        assert!(store.has_point(&key));
+        let c = store.point(key, || outcome("third"));
         assert!(c.is_err());
         let s = store.stats();
+        assert_eq!(s.point_computed, 1, "one simulation for three callers");
         assert_eq!(s.inflight_dedup_hits, 1, "second caller blocked on the in-flight slot");
-        assert_eq!(s.warm_store_hits, 1, "third caller reused the completed slot");
+        assert_eq!(s.sweep_point_hits, 2, "second and third callers were served by the memo");
+    }
+
+    #[test]
+    fn point_keys_separate_flows() {
+        let w = by_name("bitcount", Scale::Test).unwrap();
+        let key = |cfg_fp, flow: &FlowConfig, shift, p| {
+            ArtifactStore::point_key(cfg_fp, &w, flow, shift, p)
+        };
+        let with = |edit: fn(&mut FlowConfig)| {
+            let mut flow = quick_flow();
+            edit(&mut flow);
+            key(1, &flow, 0, 0)
+        };
+        let base = key(1, &quick_flow(), 0, 0);
+        for other in [
+            with(|f| f.simpoint.max_k = 3),
+            with(|f| f.max_profile_insts = 1_000),
+            with(|f| f.warmup_insts = 7),
+            with(|f| f.inject.hang_point = Some(0)),
+            key(2, &quick_flow(), 0, 0),
+            key(1, &quick_flow(), 3, 0),
+            key(1, &quick_flow(), 0, 1),
+        ] {
+            assert_ne!(base, other);
+        }
+        // Dying after N points changes when the process stops, never what
+        // a completed point contains.
+        assert_eq!(base, with(|f| f.inject.kill_after_points = Some(3)));
     }
 
     #[test]

@@ -95,7 +95,7 @@ use boomflow::{
     JournalReplay, Request, RetryPolicy, ServeAddr, ServeOptions, Server, ServerMsg, SweepKnob,
     SweepOptions, SweepRequest, SweepSpec, WorkloadResult,
 };
-use rv_workloads::{all, by_name, Scale, Workload};
+use rv_workloads::{Scale, Workload};
 use std::path::PathBuf;
 use std::process::exit;
 use std::sync::Arc;
@@ -275,13 +275,7 @@ fn parse_args() -> Args {
 }
 
 fn configs(sel: &str, predictor: PredictorKind, iq: IssueQueueKind) -> Vec<BoomConfig> {
-    let base = match sel {
-        "all" => BoomConfig::all_three(),
-        "medium" => vec![BoomConfig::medium()],
-        "large" => vec![BoomConfig::large()],
-        "mega" => vec![BoomConfig::mega()],
-        _ => usage(),
-    };
+    let base = BoomConfig::selection(sel).unwrap_or_else(|| usage());
     base.into_iter().map(|c| c.with_predictor(predictor).with_issue_queue(iq)).collect()
 }
 
@@ -323,13 +317,7 @@ fn uncore_params(args: &Args) -> HierarchyParams {
 }
 
 fn workloads(sel: &str, scale: Scale) -> Vec<Workload> {
-    if sel == "all" {
-        return all(scale);
-    }
-    sel.split(',')
-        .filter(|n| !n.is_empty())
-        .map(|n| by_name(n, scale).unwrap_or_else(|| usage()))
-        .collect()
+    rv_workloads::select(sel, scale).unwrap_or_else(|_| usage())
 }
 
 fn print_result(r: &WorkloadResult) {
@@ -529,12 +517,7 @@ fn sweep_main(argv: &[String]) {
         None => SweepSpec { base: BoomConfig::medium(), axes: Vec::new(), random: None },
     };
     if let Some(base) = &args.base {
-        spec.base = match base.as_str() {
-            "medium" => BoomConfig::medium(),
-            "large" => BoomConfig::large(),
-            "mega" => BoomConfig::mega(),
-            _ => sweep_usage(),
-        };
+        spec.base = BoomConfig::preset(base).unwrap_or_else(|| sweep_usage());
     }
     for axis in &args.grid {
         spec.axes.push(parse_grid_axis(axis));
@@ -1061,7 +1044,6 @@ fn main() {
         co_runs,
         batch_lanes: args.batch_lanes,
         pool: None,
-        share_points: false,
         progress: None,
     };
     let report = supervise_campaign(&cfgs, &ws, &flow, &store, &opts);

@@ -5,7 +5,9 @@
 //! [`ArtifactStore`](crate::artifacts::ArtifactStore) — a campaign over
 //! many configurations computes them exactly once per workload
 //! ([`run_simpoint_flow_with_store`]); [`run_simpoint_flow`] is the
-//! one-shot form with a private store.
+//! one-shot form with a private store. Each detailed point is the store's
+//! fourth memoized stage, run by the one point phase
+//! ([`crate::scheduler::PointPhase`]) that campaigns and sweeps use too.
 //!
 //! Detailed simulation is where model bugs and pathological checkpoints
 //! surface, so every per-point simulation runs under supervision: panics
@@ -19,7 +21,7 @@
 
 use crate::artifacts::{ArtifactStore, CheckpointSet, PlannedPoint};
 use crate::pool::WorkPool;
-use crate::scheduler::default_jobs;
+use crate::scheduler::{default_jobs, PointPhase};
 use crate::supervisor::{
     panic_message, renormalized, Degradation, FailureKind, FaultInjection, PointFailure,
     RetryPolicy,
@@ -292,26 +294,19 @@ pub fn run_simpoint_flow_with_store(
     // Stages 4 + 5: detailed simulation and power per point — the points
     // are independent (the paper runs them as separate RTL-simulator
     // jobs), so simulate them on a machine-wide pool, each under its own
-    // supervision.
-    let slots: Vec<OnceLock<PointOutcome>> = set.points.iter().map(|_| OnceLock::new()).collect();
-    WorkPool::new(default_jobs().min(set.points.len())).run_scoped(
-        (0..set.points.len()).collect(),
-        |i| {
-            let lane = Lane { id: i, uops: None };
-            let _ = slots[i].set(lane.run(cfg, &set.points[i], flow, store));
-        },
+    // supervision and through the store's point stage.
+    let pool = WorkPool::new(default_jobs().min(set.points.len()));
+    let sets = [Some(Arc::clone(&set))];
+    let phase = PointPhase::new(
+        &pool,
+        std::slice::from_ref(cfg),
+        std::slice::from_ref(workload),
+        &sets,
+        flow,
+        store,
     );
-    let outcomes: Vec<PointOutcome> = set
-        .points
-        .iter()
-        .zip(slots)
-        .map(|(p, slot)| {
-            slot.into_inner()
-                .unwrap_or_else(|| Err(escaped_panic(p, &"point worker died".to_string())))
-        })
-        .collect();
-
-    assemble_workload_result(&cfg.name, workload, &set, outcomes)
+    let jobs: Vec<_> = (0..set.points.len()).map(|p| (0, 0, p, 0)).collect();
+    assemble_workload_result(&cfg.name, workload, &set, phase.run(&jobs).outcomes)
 }
 
 /// Outcome of one planned point's supervised detailed simulation: the
@@ -333,89 +328,42 @@ pub(crate) fn escaped_panic(
     }
 }
 
-/// [`run_point_supervised`] plus stage accounting: the attempt span is
-/// charged to the store's detailed-simulation wall-clock total.
-///
-/// `uops` is the point's pre-classified micro-op table when this lane is
-/// part of a multi-config batch (classification is configuration-
-/// independent, so the batch computes it once and every lane shares it);
-/// `None` classifies privately.
-pub(crate) fn run_point_timed(
-    cfg: &BoomConfig,
-    point: &PlannedPoint,
-    flow: &FlowConfig,
-    uops: Option<&Arc<UopTable>>,
-    store: &ArtifactStore,
-) -> PointOutcome {
-    let t0 = Instant::now();
-    let r = run_point_supervised(cfg, point, flow, uops);
-    store.charge_detailed_us(t0.elapsed().as_micros() as u64);
-    r
-}
-
 /// The micro-op table the lanes of one batch share: classified once, by
 /// whichever lane needs it first, and freed with the batch's last lane.
 #[derive(Default)]
 pub(crate) struct SharedUops(OnceLock<Option<Arc<UopTable>>>);
 
-/// One configuration's supervised simulation of one SimPoint, as a pool
-/// task. `id` locates the lane in its caller's outcome slots.
-pub(crate) struct Lane<L> {
-    pub(crate) id: L,
-    /// The batch's shared micro-op table; `None` for a solo lane, which
-    /// classifies privately.
-    pub(crate) uops: Option<Arc<SharedUops>>,
-}
-
-impl<L> Lane<L> {
-    /// Whether this lane shares its micro-op table with other lanes.
-    pub(crate) fn is_batched(&self) -> bool {
-        self.uops.is_some()
-    }
-
-    /// Runs the lane's point under full per-point supervision
-    /// ([`run_point_timed`]); a panic that escapes it is caught here with
-    /// its payload kept in the quarantine record. The outcome is
-    /// bit-identical whether or not the lane is batched.
-    pub(crate) fn run(
-        &self,
-        cfg: &BoomConfig,
-        point: &PlannedPoint,
-        flow: &FlowConfig,
-        store: &ArtifactStore,
-    ) -> PointOutcome {
-        catch_unwind(AssertUnwindSafe(|| {
-            let uops = self.uops.as_ref().and_then(|shared| {
-                shared
-                    .0
-                    .get_or_init(|| point.checkpoint.image.as_ref().map(Core::shared_uop_table))
-                    .as_ref()
-            });
-            run_point_timed(cfg, point, flow, uops, store)
-        }))
-        .unwrap_or_else(|payload| Err(escaped_panic(point, payload.as_ref())))
-    }
-}
-
-/// Splits one SimPoint's lanes — all at the same (workload, point), in
-/// caller order — into batches of up to `width` and yields one ordinary
-/// point task per lane. The lanes of a batch of two or more share one
-/// [`SharedUops`]; a batch of one runs solo.
-pub(crate) fn batch_lanes<L: Copy>(ids: &[L], width: usize) -> impl Iterator<Item = Lane<L>> + '_ {
-    ids.chunks(width.max(1)).flat_map(|chunk| {
-        let uops = (chunk.len() > 1).then(|| Arc::new(SharedUops::default()));
-        chunk.iter().map(move |&id| Lane { id, uops: uops.clone() })
-    })
+/// One configuration's simulation of one point under full per-point
+/// supervision ([`run_point_supervised`]); a panic that escapes it is
+/// caught here with its payload kept in the quarantine record. `uops` is
+/// the table of the lane's batch, `None` for a solo lane, which
+/// classifies privately; the outcome is bit-identical either way.
+pub(crate) fn run_lane(
+    cfg: &BoomConfig,
+    point: &PlannedPoint,
+    flow: &FlowConfig,
+    uops: Option<&SharedUops>,
+) -> PointOutcome {
+    catch_unwind(AssertUnwindSafe(|| {
+        let uops = uops.and_then(|shared| {
+            shared
+                .0
+                .get_or_init(|| point.checkpoint.image.as_ref().map(Core::shared_uop_table))
+                .as_ref()
+        });
+        run_point_supervised(cfg, point, flow, uops)
+    }))
+    .unwrap_or_else(|payload| Err(escaped_panic(point, payload.as_ref())))
 }
 
 /// Stable fingerprint of the supervision knobs that change point
 /// *outcomes*: retry policy (attempt counts, perturbed warm-ups,
 /// budgets), outcome-altering fault injection (hang/panic points), and
 /// idle-skip (skipped-cycle stats ride in the outcome). Part of the
-/// cross-request shared-point key — requests that differ in any of these
-/// must not share outcomes, while `kill_after_points` (which only
-/// decides *when the process dies*, never what a completed point
-/// contains) deliberately stays out.
+/// point-stage key — flows that differ in any of these must not share
+/// outcomes, while `kill_after_points` (which only decides *when the
+/// process dies*, never what a completed point contains) deliberately
+/// stays out.
 pub(crate) fn supervision_fingerprint(flow: &FlowConfig) -> u64 {
     let tag = format!(
         "{:?}|{:?}|{:?}|{:?}|{}",
@@ -537,6 +485,11 @@ pub(crate) fn weighted_estimate(outcomes: &[&PointOutcome]) -> Option<(f64, f64)
 /// bounded retries with a perturbed (shortened) warm-up and a backed-off
 /// budget. Returns the measurement and the attempts it took, or the
 /// quarantine record.
+///
+/// `uops` is the point's pre-classified micro-op table when this lane is
+/// part of a multi-config batch (classification is configuration-
+/// independent, so the batch computes it once and every lane shares it);
+/// `None` classifies privately.
 fn run_point_supervised(
     cfg: &BoomConfig,
     task: &PlannedPoint,

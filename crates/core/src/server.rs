@@ -7,11 +7,11 @@
 //! disk cache cold, and can share nothing with concurrent runs. The
 //! service keeps one process-wide [`ArtifactStore`] warm across requests
 //! (memory *and* disk tiers), so overlapping requests coalesce through
-//! the store's single-flight maps — two clients asking for overlapping
+//! its memoized stages — two clients asking for overlapping
 //! (config, workload, point) work trigger exactly one computation, and
 //! later requests reuse completed points warm. The reuse is observable:
-//! `inflight_dedup_hits` / `warm_store_hits` in each request's stage
-//! summary.
+//! the `Detailed sim` row and the `Single-flight:` line of each
+//! request's stage summary.
 //!
 //! Scheduling: every admitted request drains its tasks through one
 //! [`WorkPool`] bounded by `--jobs`, which serves submissions round-robin
@@ -21,11 +21,13 @@
 //! with a typed reason rather than silently queued without bound.
 //!
 //! Durability: each request's specification is persisted to the state
-//! directory at admission and its points are journaled exactly as a solo
-//! `--journal` run's would be. A killed server therefore resumes
-//! cleanly: restart it on the same state directory and re-`attach` the
-//! request id — the journal replays the finished points and the report
-//! comes out byte-identical to an uninterrupted run. Graceful shutdown
+//! directory at admission and the points it simulates are journaled
+//! exactly as a solo `--journal` run's would be; points it read from the
+//! store instead are simply looked up or simulated again after a restart.
+//! A killed server therefore resumes cleanly: restart it on the same
+//! state directory and re-`attach` the request id — the journal replays
+//! the finished points and the report comes out byte-identical to an
+//! uninterrupted run. Graceful shutdown
 //! cancels unstarted work (journals hold everything completed) before
 //! the socket closes.
 
@@ -43,7 +45,7 @@ use crate::supervisor::{panic_message, supervise_campaign, RetryPolicy};
 use crate::sweep::{all_fixed_latency, run_sweep, SweepOptions, SweepSpec};
 use crate::sync::lock;
 use boom_uarch::BoomConfig;
-use rv_workloads::{all, by_name, Workload};
+use rv_workloads::Workload;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -455,13 +457,8 @@ fn run_request(state: &Arc<ServerState>, rs: &Arc<RequestState>, req: &Request) 
 pub fn realize_campaign(
     req: &CampaignRequest,
 ) -> Result<(Vec<BoomConfig>, Vec<Workload>, FlowConfig), String> {
-    let cfgs = match req.config.as_str() {
-        "all" => BoomConfig::all_three(),
-        "medium" => vec![BoomConfig::medium()],
-        "large" => vec![BoomConfig::large()],
-        "mega" => vec![BoomConfig::mega()],
-        other => return Err(format!("unknown configuration selection '{other}'")),
-    };
+    let cfgs = BoomConfig::selection(&req.config)
+        .ok_or_else(|| format!("unknown configuration selection '{}'", req.config))?;
     let ws = realize_workloads(&req.workloads, req.scale)?;
     let flow = FlowConfig {
         warmup_insts: req.warmup,
@@ -473,13 +470,7 @@ pub fn realize_campaign(
 }
 
 fn realize_workloads(sel: &str, scale: rv_workloads::Scale) -> Result<Vec<Workload>, String> {
-    if sel == "all" {
-        return Ok(all(scale));
-    }
-    sel.split(',')
-        .filter(|n| !n.is_empty())
-        .map(|n| by_name(n, scale).ok_or_else(|| format!("unknown workload '{n}'")))
-        .collect()
+    rv_workloads::select(sel, scale).map_err(|n| format!("unknown workload '{n}'"))
 }
 
 fn execute(state: &Arc<ServerState>, rs: &Arc<RequestState>, req: &Request) -> ServerMsg {
@@ -527,7 +518,6 @@ fn execute(state: &Arc<ServerState>, rs: &Arc<RequestState>, req: &Request) -> S
                 co_runs: Vec::new(),
                 batch_lanes: c.batch_lanes.max(1),
                 pool: Some(Arc::clone(&state.pool)),
-                share_points: true,
                 progress: Some(ProgressHook(Arc::new(move |done, total| {
                     progress_rs
                         .publish(&ServerMsg::Progress { id: progress_rs.id, done, total }, false);
@@ -558,12 +548,11 @@ fn execute(state: &Arc<ServerState>, rs: &Arc<RequestState>, req: &Request) -> S
             let Some(mut spec) = SweepSpec::preset(&s.preset) else {
                 return reject(format!("unknown grid preset '{}'", s.preset));
             };
-            match s.base.as_str() {
-                "" => {}
-                "medium" => spec.base = BoomConfig::medium(),
-                "large" => spec.base = BoomConfig::large(),
-                "mega" => spec.base = BoomConfig::mega(),
-                other => return reject(format!("unknown base configuration '{other}'")),
+            if !s.base.is_empty() {
+                let Some(base) = BoomConfig::preset(&s.base) else {
+                    return reject(format!("unknown base configuration '{}'", s.base));
+                };
+                spec.base = base;
             }
             let cfgs = match spec.generate() {
                 Ok(cfgs) => cfgs,

@@ -323,7 +323,8 @@ pub struct CampaignStats {
     pub jobs: usize,
     /// End-to-end campaign wall-clock, in ms.
     pub wall_ms: f64,
-    /// Stage compute/hit counters and per-stage wall-clock totals.
+    /// The store's stage compute/hit counters and per-stage wall-clock
+    /// totals accumulated while the campaign ran ([`CacheStats::since`]).
     pub cache: CacheStats,
     /// Points replayed from a resume journal instead of re-simulated.
     pub replayed_points: u64,
@@ -452,12 +453,7 @@ impl CampaignReport {
             row("Profile", c.profile_computed, c.profile_hits, c.profile_ms),
             row("Clustering", c.cluster_computed, c.cluster_hits, c.cluster_ms),
             row("Checkpoints", c.checkpoint_computed, c.checkpoint_hits, c.checkpoint_ms),
-            vec![
-                "Detailed sim".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                format!("{:.1}", s.detailed_wall_ms),
-            ],
+            row("Detailed sim", c.point_computed, c.sweep_point_hits, s.detailed_wall_ms),
         ];
         if c.full_run_computed + c.full_run_hits > 0 {
             rows.push(row("Full-run base", c.full_run_computed, c.full_run_hits, c.full_run_ms));
@@ -486,10 +482,12 @@ impl CampaignReport {
         if c.error_replays > 0 {
             out.push_str(&format!("Cached errors replayed: {}\n", c.error_replays));
         }
-        if c.inflight_dedup_hits + c.warm_store_hits > 0 {
+        // Points this run read back from its own journal are reported on
+        // the Journal line; anything beyond them was shared work.
+        if c.inflight_dedup_hits > 0 || c.sweep_point_hits > s.replayed_points {
             out.push_str(&format!(
-                "Single-flight: {} in-flight dedup hit(s), {} warm-store hit(s)\n",
-                c.inflight_dedup_hits, c.warm_store_hits
+                "Single-flight: {} in-flight dedup hit(s), {} point memo hit(s)\n",
+                c.inflight_dedup_hits, c.sweep_point_hits
             ));
         }
         if s.replayed_points > 0 {

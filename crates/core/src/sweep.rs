@@ -17,11 +17,13 @@
 //!    (Profile → SimPoint → Checkpoint) is computed once for the entire
 //!    sweep through the shared [`ArtifactStore`], exactly as in a
 //!    campaign.
-//! 2. Every completed (configuration, point, budget) measurement is
-//!    memoized in the store's point-outcome memo, so a configuration
-//!    promoted from rung *N* to rung *N+1* never resimulates a point it
-//!    already ran at the same budget — only the *new* points of the
-//!    larger budget cost anything.
+//! 2. Each rung is one run of the campaign's point phase
+//!    ([`crate::scheduler::PointPhase`]), so every (configuration, point,
+//!    budget) measurement is a lookup of the store's point stage: a
+//!    configuration promoted from rung *N* to rung *N+1* never
+//!    resimulates a point it already ran at the same budget — only the
+//!    *new* points of the larger budget cost anything — and a resumed
+//!    sweep's journal simply prefills that stage.
 //! 3. Fresh points are batched exactly as in a campaign: up to
 //!    `batch_lanes` configurations' lanes of one point run as ordinary
 //!    pool tasks that share the point's predecoded image and one
@@ -36,23 +38,17 @@
 //! clock) lives only in [`SweepReport::stage_summary`].
 
 use crate::artifacts::{
-    config_fingerprint, ArtifactStore, CacheStats, CheckpointSet, PlannedPoint, PointKey,
+    config_fingerprint, ArtifactStore, CacheStats, CheckpointSet, PlannedPoint,
 };
-use crate::flow::{
-    assemble_workload_result, batch_lanes, weighted_estimate, FlowConfig, PointOutcome,
-};
+use crate::flow::{weighted_estimate, FlowConfig, PointOutcome};
 use crate::journal::{sweep_fingerprint, CampaignJournal, JournalError};
 use crate::report::render_table;
-use crate::scheduler::{pool_or_private, prepare_workloads};
-use crate::supervisor::{
-    fb, panic_message, render_cell_body, CellFailure, CellResult, FailureKind, PointFailure,
-};
+use crate::scheduler::{assemble_cell, pool_or_private, prepare_workloads, PointJob, PointPhase};
+use crate::supervisor::{fb, render_cell_body, CellResult};
 use boom_uarch::{BoomConfig, ConfigError, MemBackendKind};
 use rv_workloads::Workload;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A sweepable microarchitectural knob — the Table-I axes of the paper's
@@ -599,7 +595,8 @@ pub struct SweepStats {
     pub jobs: usize,
     /// Wall-clock of the whole sweep, in milliseconds.
     pub wall_ms: u128,
-    /// Artifact-store counters at sweep end (includes the point memo).
+    /// The artifact-store counters accumulated while the sweep ran
+    /// ([`CacheStats::since`]; includes the point stage).
     pub cache: CacheStats,
     /// Points prefilled from the resume journal.
     pub replayed_points: u64,
@@ -732,8 +729,8 @@ impl SweepReport {
         let mut out = render_table(&header, &rows);
         let s = &self.stats;
         out.push_str(&format!(
-            "Point memo: {} hit(s), {} stored\n",
-            s.cache.sweep_point_hits, s.cache.sweep_point_stored
+            "Point memo: {} hit(s), {} computed\n",
+            s.cache.sweep_point_hits, s.cache.point_computed
         ));
         out.push_str(&format!("Detailed cycles (fresh): {}\n", s.detailed_cycles));
         if s.replayed_points > 0 {
@@ -756,33 +753,13 @@ impl SweepReport {
     }
 }
 
-/// The point-memo key for (configuration, workload, budget, point).
-/// Also the first half of the campaign service's cross-request
-/// shared-point key (shift 0 there — campaigns never truncate).
-pub(crate) fn point_key(
-    cfg_fp: u64,
-    workload: &Workload,
-    flow: &FlowConfig,
-    shift: u32,
-    p_idx: usize,
-) -> PointKey {
-    (
-        cfg_fp,
-        workload.program.fingerprint(),
-        workload.interval_size,
-        flow.warmup_insts,
-        shift,
-        p_idx as u32,
-    )
-}
-
 /// A planned point with its measured interval truncated by `shift` (the
 /// rung budget). Shift 0 is the identity; the interval never truncates
 /// below 100 instructions (or its full length). The warm-up is
 /// deliberately *not* truncated: warm-up exists to remove cold-start
 /// bias, and shortening it would make early-rung rankings lie about
 /// exactly the structures (caches, predictors) the sweep varies.
-fn truncated(p: &PlannedPoint, shift: u32) -> PlannedPoint {
+pub(crate) fn truncated(p: &PlannedPoint, shift: u32) -> PlannedPoint {
     let mut t = p.clone();
     if shift > 0 {
         t.interval_len = (p.interval_len >> shift).max(p.interval_len.min(100));
@@ -835,6 +812,7 @@ pub fn run_sweep(
     opts: &SweepOptions,
 ) -> Result<SweepReport, JournalError> {
     let t0 = Instant::now();
+    let start = store.stats();
     let jobs = opts.jobs.max(1);
     let (cfgs, folded) = admit(cfgs.to_vec());
     let w = workloads.len();
@@ -846,10 +824,11 @@ pub fn run_sweep(
     let prep = prepare_workloads(&pool, workloads, flow, store);
     let sets: Vec<Option<Arc<CheckpointSet>>> =
         prep.iter().map(|r| r.as_ref().ok().cloned()).collect();
+    let n_points = |w_idx: usize| sets[w_idx].as_ref().map_or(0, |s| s.points.len());
 
     // The rung schedule depends on the largest selected-point count,
     // which the (deterministic, disk-cacheable) prep phase just fixed.
-    let max_points = sets.iter().flatten().map(|s| s.points.len()).max().unwrap_or(0).max(1);
+    let max_points = (0..w).map(n_points).max().unwrap_or(0).max(1);
     let rungs_spec = rung_schedule(
         max_points,
         opts.rung0_points,
@@ -860,44 +839,40 @@ pub fn run_sweep(
 
     // Journal: the fingerprint covers the admitted configs, workloads,
     // flow, rung schedule, and ε — everything that determines record
-    // indices and outcomes. Replayed records prefill the point memo, so
-    // the rung loop below treats them exactly like lower-rung reuse.
+    // indices and outcomes. Replayed records prefill the point stage, so
+    // the rungs below read them exactly like lower-rung reuse.
     let rung_pairs: Vec<(usize, u32)> = rungs_spec.iter().map(|r| (r.points, r.shift)).collect();
     let sweep_fp =
         sweep_fingerprint(&cfgs, workloads, flow, &rung_pairs, opts.epsilon, opts.epsilon_decay);
-    let mut replayed: u64 = 0;
-    let journal: Option<CampaignJournal> = match &opts.journal_path {
-        None => None,
+    let (journal, replay) = match &opts.journal_path {
+        None => (None, None),
         Some(path) if opts.resume => {
             let (j, replay) = CampaignJournal::resume(path, sweep_fp)?;
-            for (&(c_enc, p_enc), outcome) in &replay.outcomes {
-                let (Some(cfg_idx), Some(w_idx)) = (c_enc.checked_div(w), c_enc.checked_rem(w))
-                else {
-                    continue;
-                };
-                let (shift, p_idx) = ((p_enc >> 24) as u32, p_enc & 0x00FF_FFFF);
-                if cfg_idx < cfgs.len() {
-                    let key = point_key(fps[cfg_idx], &workloads[w_idx], flow, shift, p_idx);
-                    store.record_point(key, outcome);
-                    replayed += 1;
-                }
-            }
-            Some(j)
+            (Some(j), Some(replay))
         }
-        Some(path) => Some(CampaignJournal::create(path, sweep_fp)?),
+        Some(path) => (Some(CampaignJournal::create(path, sweep_fp)?), None),
+    };
+    let mut phase = PointPhase::new(&pool, &cfgs, workloads, &sets, flow, store);
+    phase.journal = journal.as_ref();
+    phase.batch_lanes = opts.batch_lanes;
+    let replayed = replay.map_or(0, |r| phase.replay(&r));
+
+    // The jobs of every selected point below `budget` of every
+    // configuration in `cfg_idxs` at truncation `shift`, configuration-
+    // major: each (configuration, workload) owns the next
+    // `min(points, budget)` outcomes.
+    let jobs_of = |cfg_idxs: &[usize], budget: usize, shift: u32| -> Vec<PointJob> {
+        cfg_idxs
+            .iter()
+            .flat_map(|&c| {
+                (0..w).flat_map(move |w_idx| {
+                    (0..n_points(w_idx).min(budget)).map(move |p| (c, w_idx, p, shift))
+                })
+            })
+            .collect()
     };
 
-    // Fresh points completed so far, for fault-injected kill drills.
-    let completed = AtomicU64::new(0);
-    let charge_and_maybe_kill = |fresh: u64| {
-        if let Some(kill_after) = flow.inject.kill_after_points {
-            if fresh > 0 && completed.fetch_add(fresh, Ordering::Relaxed) + fresh >= kill_after {
-                std::process::abort();
-            }
-        }
-    };
-
-    // Phase 2 — the rungs.
+    // Phase 2 — the rungs, one point-phase run each.
     let mut alive: Vec<usize> = (0..cfgs.len()).collect();
     let mut rung_summaries: Vec<RungSummary> = Vec::new();
     let mut detailed_cycles_total: u64 = 0;
@@ -906,73 +881,17 @@ pub fn run_sweep(
     let n_rungs = rungs_spec.len();
     for (r_idx, rung) in rungs_spec.iter().enumerate() {
         let entered = alive.len();
-        // Per-workload effective budget: the rung's cap, bounded by what
-        // the analysis actually selected.
-        let actual: Vec<usize> = sets
-            .iter()
-            .map(|s| s.as_ref().map_or(0, |s| s.points.len().min(rung.points)))
-            .collect();
-        let slot_of =
-            |a_pos: usize, w_idx: usize, p_idx: usize| (a_pos * w + w_idx) * rung.points + p_idx;
-        let slots: Vec<OnceLock<PointOutcome>> =
-            (0..alive.len() * w * rung.points).map(|_| OnceLock::new()).collect();
+        let rung_jobs = jobs_of(&alive, rung.points, rung.shift);
+        let run = phase.run(&rung_jobs);
 
-        // Prefill every point the memo already has (lower-rung reuse and
-        // journal replay); whatever is left is this rung's fresh work.
-        let mut fresh_idx: Vec<(usize, usize, usize)> = Vec::new();
-        let mut reused: u64 = 0;
-        for (a_pos, &cfg_idx) in alive.iter().enumerate() {
-            for (w_idx, workload) in workloads.iter().enumerate() {
-                for p_idx in 0..actual[w_idx] {
-                    let key = point_key(fps[cfg_idx], workload, flow, rung.shift, p_idx);
-                    if let Some(outcome) = store.cached_point(&key) {
-                        let _ = slots[slot_of(a_pos, w_idx, p_idx)].set(outcome);
-                        reused += 1;
-                    } else {
-                        fresh_idx.push((w_idx, p_idx, a_pos));
-                    }
-                }
-            }
-        }
-
-        // Group fresh work by (workload, point) so lanes share the
-        // point's predecoded image and micro-op table, then batch each
-        // group `batch_lanes` wide in alive order.
-        fresh_idx.sort_unstable();
-        let tasks: Vec<_> = fresh_idx
-            .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
-            .flat_map(|group| batch_lanes(group, opts.batch_lanes))
-            .collect();
-        let batched = tasks.iter().filter(|lane| lane.is_batched()).count() as u64;
-        pool.run_scoped(tasks, |lane| {
-            let (w_idx, p_idx, a_pos) = lane.id;
-            let Some(set) = sets[w_idx].as_ref() else {
-                return;
-            };
-            let point = truncated(&set.points[p_idx], rung.shift);
-            let cfg_idx = alive[a_pos];
-            let outcome = lane.run(&cfgs[cfg_idx], &point, flow, store);
-            if let Some(j) = &journal {
-                let enc_p = ((rung.shift as usize) << 24) | p_idx;
-                j.append(cfg_idx * w + w_idx, enc_p, &outcome);
-            }
-            let key = point_key(fps[cfg_idx], &workloads[w_idx], flow, rung.shift, p_idx);
-            store.record_point(key, &outcome);
-            let _ = slots[slot_of(a_pos, w_idx, p_idx)].set(outcome);
-            charge_and_maybe_kill(1);
-        });
-
-        // Fresh-point accounting, iterated in deterministic order on the
-        // coordinator thread.
+        // Fresh-point accounting, in deterministic job order.
         let mut fresh_points: u64 = 0;
         let mut rung_cycles: u64 = 0;
-        for &(w_idx, p_idx, a_pos) in &fresh_idx {
-            if let Some(outcome) = slots[slot_of(a_pos, w_idx, p_idx)].get() {
-                fresh_points += 1;
-                if let Ok((p, _)) = outcome {
-                    rung_cycles += p.stats.cycles;
-                    idle_skipped_total += p.stats.idle_cycles_skipped;
-                }
+        for (outcome, _) in run.outcomes.iter().zip(&run.fresh).filter(|(_, &fresh)| fresh) {
+            fresh_points += 1;
+            if let Ok((p, _)) = outcome {
+                rung_cycles += p.stats.cycles;
+                idle_skipped_total += p.stats.idle_cycles_skipped;
             }
         }
         detailed_cycles_total += rung_cycles;
@@ -983,13 +902,13 @@ pub fn run_sweep(
         let (promoted, eliminated) = if last {
             (entered, 0)
         } else {
+            let mut outcomes = run.outcomes.iter();
             let ests: Vec<Vec<Option<(f64, f64)>>> = (0..alive.len())
-                .map(|a_pos| {
+                .map(|_| {
                     (0..w)
                         .map(|w_idx| {
-                            let refs: Vec<&PointOutcome> = (0..actual[w_idx])
-                                .filter_map(|p_idx| slots[slot_of(a_pos, w_idx, p_idx)].get())
-                                .collect();
+                            let refs: Vec<&PointOutcome> =
+                                outcomes.by_ref().take(n_points(w_idx).min(rung.points)).collect();
                             weighted_estimate(&refs)
                         })
                         .collect()
@@ -1029,7 +948,7 @@ pub fn run_sweep(
             alive = survivors.into_iter().map(|a| alive[a]).collect();
             (promoted, entered - promoted)
         };
-        batched_total += batched;
+        batched_total += run.batched;
         rung_summaries.push(RungSummary {
             points: rung.points,
             shift: rung.shift,
@@ -1037,57 +956,24 @@ pub fn run_sweep(
             promoted,
             eliminated,
             fresh_points,
-            reused_points: reused,
-            batched_points: batched,
+            reused_points: rung_jobs.len() as u64 - fresh_points,
+            batched_points: run.batched,
             detailed_cycles: rung_cycles,
         });
     }
 
-    // Phase 3 — assemble the survivors' full-budget results from the
-    // memo (shift 0, every selected point: exactly what the final rung
-    // just ran or reused) and derive the Pareto frontiers.
-    let mut cells: Vec<CellResult> = Vec::with_capacity(alive.len() * w);
-    for &cfg_idx in &alive {
-        for (w_idx, workload) in workloads.iter().enumerate() {
-            let outcome = match &prep[w_idx] {
-                Err(e) => Err(e.clone()),
-                Ok(set) => {
-                    let outcomes: Vec<PointOutcome> = set
-                        .points
-                        .iter()
-                        .enumerate()
-                        .map(|(p_idx, p)| {
-                            let key = point_key(fps[cfg_idx], workload, flow, 0, p_idx);
-                            store.cached_point(&key).unwrap_or_else(|| {
-                                Err(PointFailure {
-                                    simpoint: p.sel_idx,
-                                    interval: p.interval,
-                                    weight: p.weight,
-                                    attempts: 1,
-                                    kind: FailureKind::Panicked {
-                                        message: "sweep point missing from memo".to_string(),
-                                    },
-                                })
-                            })
-                        })
-                        .collect();
-                    let name = &cfgs[cfg_idx].name;
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        assemble_workload_result(name, workload, set, outcomes)
-                    })) {
-                        Ok(Ok(r)) => Ok(Box::new(r)),
-                        Ok(Err(e)) => Err(CellFailure::Flow(e)),
-                        Err(payload) => Err(CellFailure::Panicked(panic_message(payload.as_ref()))),
-                    }
-                }
-            };
-            cells.push(CellResult {
-                config: cfgs[cfg_idx].name.clone(),
-                workload: workload.name,
-                outcome,
-            });
-        }
-    }
+    // Phase 3 — read the survivors' full-budget outcomes (shift 0, every
+    // selected point: exactly what the final rung just ran or reused)
+    // back through the point stage, and assemble them into cells.
+    let mut outcomes = phase.run(&jobs_of(&alive, usize::MAX, 0)).outcomes.into_iter();
+    let cells: Vec<CellResult> = alive
+        .iter()
+        .flat_map(|&c| (0..w).map(move |w_idx| (c, w_idx)))
+        .map(|(c, w_idx)| {
+            let cell: Vec<PointOutcome> = outcomes.by_ref().take(n_points(w_idx)).collect();
+            assemble_cell(&cfgs[c].name, &workloads[w_idx], &prep[w_idx], cell)
+        })
+        .collect();
 
     let mut frontier: Vec<FrontierPoint> = Vec::new();
     for workload in workloads {
@@ -1115,7 +1001,7 @@ pub fn run_sweep(
         stats: SweepStats {
             jobs,
             wall_ms: t0.elapsed().as_millis(),
-            cache: store.stats(),
+            cache: store.stats().since(&start),
             replayed_points: replayed,
             batched_points: batched_total,
             idle_cycles_skipped: idle_skipped_total,

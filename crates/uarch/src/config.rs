@@ -429,6 +429,25 @@ impl BoomConfig {
         vec![BoomConfig::medium(), BoomConfig::large(), BoomConfig::mega()]
     }
 
+    /// The paper configuration named `medium`, `large`, or `mega`.
+    pub fn preset(name: &str) -> Option<BoomConfig> {
+        match name {
+            "medium" => Some(BoomConfig::medium()),
+            "large" => Some(BoomConfig::large()),
+            "mega" => Some(BoomConfig::mega()),
+            _ => None,
+        }
+    }
+
+    /// A configuration selection: `all` (the three paper configurations)
+    /// or one [`BoomConfig::preset`] name.
+    pub fn selection(sel: &str) -> Option<Vec<BoomConfig>> {
+        match sel {
+            "all" => Some(BoomConfig::all_three()),
+            name => BoomConfig::preset(name).map(|cfg| vec![cfg]),
+        }
+    }
+
     /// Returns a copy using the given conditional predictor (for the
     /// TAGE-vs-gshare ablation of Key Takeaway #7).
     pub fn with_predictor(mut self, predictor: PredictorKind) -> BoomConfig {

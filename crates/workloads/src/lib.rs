@@ -140,6 +140,22 @@ pub fn by_name(name: &str, scale: Scale) -> Option<Workload> {
     all(scale).into_iter().find(|w| w.name.eq_ignore_ascii_case(name))
 }
 
+/// A workload selection: `all`, or comma-separated [`by_name`] names in
+/// selection order (empty entries are skipped).
+///
+/// # Errors
+///
+/// The first name that is not a workload.
+pub fn select(sel: &str, scale: Scale) -> Result<Vec<Workload>, String> {
+    if sel == "all" {
+        return Ok(all(scale));
+    }
+    sel.split(',')
+        .filter(|n| !n.is_empty())
+        .map(|n| by_name(n, scale).ok_or_else(|| n.to_string()))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

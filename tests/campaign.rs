@@ -8,7 +8,7 @@
 use boom_uarch::BoomConfig;
 use boomflow::{
     run_simpoint_flow, run_simpoint_flow_with_store, supervise_campaign, supervise_matrix_with,
-    ArtifactStore, CampaignOptions, CampaignReport, FlowConfig, WorkloadResult,
+    ArtifactStore, CampaignOptions, CampaignReport, FaultInjection, FlowConfig, WorkloadResult,
 };
 use rtl_power::Component;
 use rv_workloads::{by_name, Scale, Workload};
@@ -146,6 +146,70 @@ fn three_config_campaign_computes_front_half_once_per_workload() {
     assert_eq!(report.stats.jobs, 2);
     assert!(report.stats.cache.detailed_ms > 0.0, "detailed sim time must be recorded");
     assert!(!report.stage_summary().is_empty());
+}
+
+/// A store outlives its campaigns: a second, identical campaign on it
+/// simulates nothing — every point is a hit of the store's point stage —
+/// and still renders the same bytes. The stage summary's "Detailed sim"
+/// row shows that campaign's own counts.
+#[test]
+fn warm_campaign_reads_every_point_from_the_store() {
+    let cfgs = BoomConfig::all_three();
+    let workloads = test_workloads();
+    let flow = quick_flow();
+    let store = ArtifactStore::new();
+    let opts = CampaignOptions { jobs: 2, ..CampaignOptions::default() };
+    let cold = supervise_campaign(&cfgs, &workloads, &flow, &store, &opts);
+    let warm = supervise_campaign(&cfgs, &workloads, &flow, &store, &opts);
+    assert!(cold.all_ok(), "{:?}", cold.failure_log());
+
+    let points: u64 = workloads
+        .iter()
+        .map(|w| store.checkpoints(w, &flow).unwrap().points.len() as u64)
+        .sum::<u64>()
+        * cfgs.len() as u64;
+    assert_eq!((cold.stats.cache.point_computed, cold.stats.cache.sweep_point_hits), (points, 0));
+    assert_eq!((warm.stats.cache.point_computed, warm.stats.cache.sweep_point_hits), (0, points));
+    assert_eq!(warm.render_deterministic(), cold.render_deterministic());
+
+    let summary = warm.stage_summary();
+    let row: Vec<&str> = summary
+        .lines()
+        .find(|l| l.starts_with("Detailed sim "))
+        .unwrap()
+        .split_whitespace()
+        .collect();
+    assert_eq!(row[2..4], ["0", points.to_string().as_str()], "{summary}");
+}
+
+/// One store shared by campaigns of different flows never hands one
+/// flow's point to another: the point stage's key covers the SimPoint
+/// configuration and the supervision policy, so every campaign renders
+/// exactly what it renders on a fresh store.
+#[test]
+fn shared_store_never_crosses_flows() {
+    let cfgs = vec![BoomConfig::medium()];
+    let workloads = test_workloads();
+    let base = quick_flow();
+    let fewer_clusters = FlowConfig {
+        simpoint: SimPointConfig { max_k: 3, ..base.simpoint.clone() },
+        ..base.clone()
+    };
+    let hang = FlowConfig {
+        inject: FaultInjection { hang_point: Some(0), ..FaultInjection::default() },
+        ..base.clone()
+    };
+    let opts = CampaignOptions { jobs: 2, ..CampaignOptions::default() };
+    let shared = ArtifactStore::new();
+    for (name, flow) in [("base", &base), ("max_k 3", &fewer_clusters), ("hang 0", &hang)] {
+        let on_shared = supervise_campaign(&cfgs, &workloads, flow, &shared, &opts);
+        let fresh = supervise_campaign(&cfgs, &workloads, flow, &ArtifactStore::new(), &opts);
+        assert_eq!(
+            on_shared.render_deterministic(),
+            fresh.render_deterministic(),
+            "{name}: a shared store must not change the report"
+        );
+    }
 }
 
 /// Stage times are exclusive: a cold checkpoint lookup computes the
