@@ -1,7 +1,9 @@
 //! Profiling driver: runs the detailed core on one workload in a tight
 //! loop for a fixed wall-clock budget. Exists so `gprofng collect` /
 //! `perf record` have a pure detailed-simulation target without the
-//! functional and profiling stages the throughput bench interleaves.
+//! profiling, clustering and checkpoint stages of a campaign. Its rate is
+//! for profiling only; the simulator's measured speed comes from
+//! `perfbench/`.
 //!
 //! Usage: `cargo run --release --example detailed_loop [workload] [config] [seconds]`
 
@@ -16,12 +18,7 @@ fn main() {
     let secs: u64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(5);
 
     let w = by_name(workload, Scale::Small).expect("known workload");
-    let cfg = match config {
-        "medium" => BoomConfig::medium(),
-        "large" => BoomConfig::large(),
-        "mega" => BoomConfig::mega(),
-        other => panic!("unknown config {other}"),
-    };
+    let cfg = BoomConfig::preset(config).unwrap_or_else(|| panic!("unknown config {config}"));
 
     let budget = Duration::from_secs(secs);
     let t0 = Instant::now();

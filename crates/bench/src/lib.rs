@@ -1,6 +1,7 @@
 //! Shared harness for the evaluation benches: runs the SimPoint flow for
-//! all eleven workloads on the three BOOM configurations (in parallel)
-//! and carries the paper's published reference numbers for comparison.
+//! all eleven workloads on the three BOOM configurations as one supervised
+//! campaign and carries the paper's published reference numbers for
+//! comparison.
 //!
 //! Every bench shares one [`ArtifactStore`] per sweep, so the
 //! configuration-independent stages (profiling, clustering, checkpoint
@@ -8,14 +9,33 @@
 //! parameter values the sweep visits.
 
 use boom_uarch::BoomConfig;
-use boomflow::{run_simpoint_flow_with_store, ArtifactStore, FlowConfig, WorkloadResult};
+use boomflow::{supervise_campaign, ArtifactStore, CampaignOptions, FlowConfig, WorkloadResult};
 use rtl_power::Component;
 use rv_workloads::{all, Scale, Workload};
-use std::thread;
 
-/// Runs the flow for every workload under one configuration, one thread
-/// per workload, sharing `store`'s memoized profiling / clustering /
-/// checkpoint artifacts with every other configuration run against it.
+/// Runs every (configuration, workload) cell as one campaign on the
+/// default `--jobs`-wide pool and returns the results in the campaign's
+/// configuration-major order.
+///
+/// # Panics
+///
+/// Panics if any cell fails (a correctness bug).
+fn run_cells(
+    cfgs: &[BoomConfig],
+    workloads: &[Workload],
+    flow: &FlowConfig,
+    store: &ArtifactStore,
+) -> Vec<WorkloadResult> {
+    supervise_campaign(cfgs, workloads, flow, store, &CampaignOptions::default())
+        .cells
+        .into_iter()
+        .map(|c| *c.outcome.unwrap_or_else(|e| panic!("{} on {}: {e}", c.workload, c.config)))
+        .collect()
+}
+
+/// Runs the flow for every workload under one configuration, sharing
+/// `store`'s memoized profiling / clustering / checkpoint artifacts with
+/// every other configuration run against it.
 ///
 /// # Panics
 ///
@@ -26,35 +46,22 @@ pub fn run_config(
     flow: &FlowConfig,
     store: &ArtifactStore,
 ) -> Vec<WorkloadResult> {
-    thread::scope(|s| {
-        let handles: Vec<_> = workloads
-            .iter()
-            .map(|w| {
-                let cfg = cfg.clone();
-                let flow = flow.clone();
-                s.spawn(move || {
-                    run_simpoint_flow_with_store(&cfg, w, &flow, store)
-                        .unwrap_or_else(|e| panic!("{} on {}: {e}", w.name, cfg.name))
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-    })
+    run_cells(std::slice::from_ref(cfg), workloads, flow, store)
 }
 
-/// Runs the flow for all eleven workloads on all three configurations,
-/// profiling / clustering / checkpointing each workload exactly once.
+/// Runs the flow for all eleven workloads on all three configurations as
+/// one campaign, profiling / clustering / checkpointing each workload
+/// exactly once.
+///
+/// # Panics
+///
+/// Panics if any cell fails (a correctness bug).
 pub fn run_all(scale: Scale) -> Vec<(BoomConfig, Vec<WorkloadResult>)> {
     let workloads = all(scale);
-    let flow = FlowConfig::default();
-    let store = ArtifactStore::new();
-    BoomConfig::all_three()
-        .into_iter()
-        .map(|cfg| {
-            let results = run_config(&cfg, &workloads, &flow, &store);
-            (cfg, results)
-        })
-        .collect()
+    let cfgs = BoomConfig::all_three();
+    let mut results =
+        run_cells(&cfgs, &workloads, &FlowConfig::default(), &ArtifactStore::new()).into_iter();
+    cfgs.into_iter().map(|cfg| (cfg, results.by_ref().take(workloads.len()).collect())).collect()
 }
 
 /// The scale every figure-regenerating bench uses.

@@ -191,12 +191,7 @@ fn parse_args() -> Args {
             "--workload" | "-w" => args.workload = value().to_lowercase(),
             "--config" | "-c" => args.config = value().to_lowercase(),
             "--scale" | "-s" => {
-                args.scale = match value().to_lowercase().as_str() {
-                    "test" => Scale::Test,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    _ => usage(),
-                }
+                args.scale = Scale::parse(&value().to_lowercase()).unwrap_or_else(|| usage())
             }
             "--predictor" | "-p" => {
                 args.predictor = match value().to_lowercase().as_str() {
@@ -442,12 +437,7 @@ fn parse_sweep_args(argv: &[String]) -> SweepArgs {
             "--seed" => args.seed = value().parse().unwrap_or_else(|_| sweep_usage()),
             "--workload" | "-w" => args.workload = value().to_lowercase(),
             "--scale" | "-s" => {
-                args.scale = match value().to_lowercase().as_str() {
-                    "test" => Scale::Test,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    _ => sweep_usage(),
-                }
+                args.scale = Scale::parse(&value().to_lowercase()).unwrap_or_else(|| sweep_usage())
             }
             "--warmup" => args.warmup = value().parse().unwrap_or_else(|_| sweep_usage()),
             "--jobs" | "-j" => {
@@ -768,12 +758,8 @@ fn submit_main(argv: &[String]) {
             "--workload" | "-w" => campaign.workloads = value().to_lowercase(),
             "--config" | "-c" => campaign.config = value().to_lowercase(),
             "--scale" | "-s" => {
-                campaign.scale = match value().to_lowercase().as_str() {
-                    "test" => Scale::Test,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    _ => serve_usage(),
-                }
+                campaign.scale =
+                    Scale::parse(&value().to_lowercase()).unwrap_or_else(|| serve_usage())
             }
             "--warmup" => campaign.warmup = value().parse().unwrap_or_else(|_| serve_usage()),
             "--retries" => campaign.retries = value().parse().unwrap_or_else(|_| serve_usage()),

@@ -83,6 +83,16 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// The scale named `test`, `small`, or `full`.
+    pub fn parse(name: &str) -> Option<Scale> {
+        match name {
+            "test" => Some(Scale::Test),
+            "small" => Some(Scale::Small),
+            "full" => Some(Scale::Full),
+            _ => None,
+        }
+    }
+
     /// A scale-dependent iteration/size factor: `Test` = base,
     /// `Small` ≈ 4×, `Full` ≈ 16×.
     pub fn factor(self) -> u64 {
@@ -186,6 +196,14 @@ mod tests {
         assert!(by_name("sha", Scale::Test).is_some());
         assert!(by_name("SHA", Scale::Test).is_some());
         assert!(by_name("nope", Scale::Test).is_none());
+    }
+
+    #[test]
+    fn scale_names_parse() {
+        assert_eq!(Scale::parse("test"), Some(Scale::Test));
+        assert_eq!(Scale::parse("small"), Some(Scale::Small));
+        assert_eq!(Scale::parse("full"), Some(Scale::Full));
+        assert_eq!(Scale::parse("huge"), None);
     }
 }
 

@@ -11,7 +11,9 @@
 //! paper's figures.
 //!
 //! To re-capture goldens after an *intentional* model change, run with
-//! `--nocapture` and copy the printed table into `GOLDEN`.
+//! `--nocapture` and copy the printed table into `GOLDEN`. The same change
+//! moves the sweep's exact cycle totals, pinned in `tests/sweep.rs` and in
+//! CI's `perf` job; update them together.
 
 use boom_uarch::{BoomConfig, Core, HierarchyParams};
 use rv_workloads::{by_name, Scale};
